@@ -82,6 +82,12 @@ class F0EstimatorIW {
   /// Number of copies.
   size_t copies() const { return samplers_.size(); }
 
+  /// Read access to one underlying sampler copy (introspection for
+  /// tests). Requires a drained pipeline.
+  const RobustL0SamplerIW& copy_sampler(size_t i) const {
+    return samplers_[i];
+  }
+
   /// Total space in words across copies.
   size_t SpaceWords() const;
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -23,6 +24,79 @@ SamplerOptions BaseOptions(size_t dim, double alpha, uint64_t seed) {
 }
 
 Point Isolated(int i) { return Point{10.0 * static_cast<double>(i)}; }
+
+/// `n` points in `groups` well-separated groups of near-duplicates, in a
+/// seeded random order (dimension 2, alpha 1).
+std::vector<Point> NearDuplicateStream(size_t n, int groups, uint64_t seed) {
+  Xoshiro256pp rng(seed);
+  std::vector<Point> points;
+  points.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const int g = static_cast<int>(rng.NextBounded(groups));
+    points.push_back(Point{10.0 * g + 0.4 * (rng.NextDouble() - 0.5),
+                           0.4 * (rng.NextDouble() - 0.5)});
+  }
+  return points;
+}
+
+/// Cuts [0, n) into seeded random chunk lengths in [1, max_chunk].
+std::vector<size_t> RandomChunking(size_t n, uint64_t seed, size_t max_chunk) {
+  Xoshiro256pp rng(seed);
+  std::vector<size_t> lengths;
+  for (size_t done = 0; done < n;) {
+    const size_t len =
+        std::min(n - done, 1 + static_cast<size_t>(rng.NextBounded(max_chunk)));
+    lengths.push_back(len);
+    done += len;
+  }
+  return lengths;
+}
+
+/// Every IW copy holds the same accepted set at the same rate.
+void ExpectSameIwCopies(const F0EstimatorIW& a, const F0EstimatorIW& b) {
+  ASSERT_EQ(a.copies(), b.copies());
+  for (size_t c = 0; c < a.copies(); ++c) {
+    const RobustL0SamplerIW& x = a.copy_sampler(c);
+    const RobustL0SamplerIW& y = b.copy_sampler(c);
+    ASSERT_EQ(x.points_processed(), y.points_processed()) << "copy " << c;
+    ASSERT_EQ(x.rate_reciprocal(), y.rate_reciprocal()) << "copy " << c;
+    const std::vector<SampleItem> xs = x.AcceptedRepresentatives();
+    const std::vector<SampleItem> ys = y.AcceptedRepresentatives();
+    ASSERT_EQ(xs.size(), ys.size()) << "copy " << c;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(xs[i].stream_index, ys[i].stream_index) << "copy " << c;
+      ASSERT_EQ(xs[i].point, ys[i].point) << "copy " << c;
+    }
+  }
+}
+
+/// Every SW copy holds bit-identical per-level group state (stamps and
+/// stream indices included).
+void ExpectSameSwCopies(const F0EstimatorSW& a, const F0EstimatorSW& b) {
+  ASSERT_EQ(a.copies() * a.repetitions(), b.copies() * b.repetitions());
+  for (size_t c = 0; c < a.copies() * a.repetitions(); ++c) {
+    const RobustL0SamplerSW& x = a.copy_sampler(c);
+    const RobustL0SamplerSW& y = b.copy_sampler(c);
+    ASSERT_EQ(x.points_processed(), y.points_processed());
+    ASSERT_EQ(x.latest_stamp(), y.latest_stamp());
+    ASSERT_EQ(x.num_levels(), y.num_levels());
+    for (size_t l = 0; l < x.num_levels(); ++l) {
+      std::vector<GroupRecord> gx, gy;
+      x.level(l).SnapshotGroups(&gx);
+      y.level(l).SnapshotGroups(&gy);
+      ASSERT_EQ(gx.size(), gy.size()) << "copy " << c << " level " << l;
+      for (size_t i = 0; i < gx.size(); ++i) {
+        ASSERT_EQ(gx[i].id, gy[i].id);
+        ASSERT_EQ(gx[i].accepted, gy[i].accepted);
+        ASSERT_EQ(gx[i].latest_stamp, gy[i].latest_stamp);
+        ASSERT_EQ(gx[i].latest_index, gy[i].latest_index);
+        ASSERT_EQ(gx[i].rep_index, gy[i].rep_index);
+        ASSERT_EQ(gx[i].rep, gy[i].rep);
+        ASSERT_EQ(gx[i].latest, gy[i].latest);
+      }
+    }
+  }
+}
 
 TEST(F0OptionsTest, Validation) {
   F0Options opts;
@@ -394,6 +468,94 @@ TEST(F0SwTest, SerialExplicitStampsComposeWithStampedFeed) {
     }
   }
 }
+
+// ------------------------------------------ pipelined == serial, bit-exact
+//
+// Pipelined Feed streams every chunk to every copy on its own lane; the
+// copies must end bit-identical to the serial path for any chunking, at
+// one copy and at several.
+
+class F0FeedIdentity : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(F0FeedIdentity, IwFeedMatchesInsertBatch) {
+  F0Options opts;
+  opts.sampler = BaseOptions(2, 1.0, 31);
+  opts.epsilon = 0.3;  // cap 134 < 400 groups: the copies subsample
+  opts.copies = GetParam();
+  const std::vector<Point> points = NearDuplicateStream(3000, 400, 32);
+  const Span<const Point> all(points);
+
+  auto serial = F0EstimatorIW::Create(opts).value();
+  serial.InsertBatch(all);
+  ASSERT_GT(serial.copy_sampler(0).rate_reciprocal(), 1u);
+  for (uint64_t chunking = 1; chunking <= 3; ++chunking) {
+    auto fed = F0EstimatorIW::Create(opts).value();
+    size_t offset = 0;
+    for (size_t len : RandomChunking(points.size(), chunking, 700)) {
+      fed.Feed(all.subspan(offset, len));
+      offset += len;
+    }
+    fed.Drain();
+    ExpectSameIwCopies(fed, serial);
+    EXPECT_EQ(fed.Estimate(), serial.Estimate());
+  }
+}
+
+TEST_P(F0FeedIdentity, SwFeedMatchesSerialInsert) {
+  F0SwOptions opts;
+  opts.sampler = BaseOptions(2, 1.0, 33);
+  opts.window = 256;
+  opts.copies = GetParam();
+  const std::vector<Point> points = NearDuplicateStream(2000, 150, 34);
+  const Span<const Point> all(points);
+
+  auto serial = F0EstimatorSW::Create(opts).value();
+  for (const Point& p : points) serial.Insert(p);
+  for (uint64_t chunking = 1; chunking <= 3; ++chunking) {
+    auto fed = F0EstimatorSW::Create(opts).value();
+    size_t offset = 0;
+    for (size_t len : RandomChunking(points.size(), 10 + chunking, 500)) {
+      fed.Feed(all.subspan(offset, len));
+      offset += len;
+    }
+    fed.Drain();
+    ExpectSameSwCopies(fed, serial);
+    EXPECT_EQ(fed.EstimateLatest(), serial.EstimateLatest());
+  }
+}
+
+TEST_P(F0FeedIdentity, SwFeedStampedMatchesSerialInsert) {
+  F0SwOptions opts;
+  opts.sampler = BaseOptions(2, 1.0, 35);
+  opts.window = 300;
+  opts.copies = GetParam();
+  const std::vector<Point> points = NearDuplicateStream(2000, 150, 36);
+  std::vector<int64_t> stamps;
+  int64_t t = 50;  // stamps never equal arrival indices
+  for (size_t i = 0; i < points.size(); ++i) {
+    t += static_cast<int64_t>(i % 4);  // ties included
+    if (i % 700 == 699) t += 5 * opts.window;  // jump past whole windows
+    stamps.push_back(t);
+  }
+  const Span<const Point> all(points);
+  const Span<const int64_t> all_stamps(stamps);
+
+  auto serial = F0EstimatorSW::Create(opts).value();
+  for (size_t i = 0; i < points.size(); ++i) serial.Insert(points[i], stamps[i]);
+  for (uint64_t chunking = 1; chunking <= 3; ++chunking) {
+    auto fed = F0EstimatorSW::Create(opts).value();
+    size_t offset = 0;
+    for (size_t len : RandomChunking(points.size(), 20 + chunking, 500)) {
+      fed.FeedStamped(all.subspan(offset, len), all_stamps.subspan(offset, len));
+      offset += len;
+    }
+    fed.Drain();
+    ExpectSameSwCopies(fed, serial);
+    EXPECT_EQ(fed.EstimateLatest(), serial.EstimateLatest());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Copies, F0FeedIdentity, ::testing::Values(1, 5));
 
 TEST(F0SwTest, RepetitionMedianIsExposed) {
   F0SwOptions opts;
