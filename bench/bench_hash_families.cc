@@ -1,5 +1,5 @@
-// Ablation (design choice, DESIGN.md §2): the cell-sampling hash family
-// and the accept-cap constant κ0.
+// Ablation (a design choice; see docs/BENCHMARKS.md, "Ablations"): the
+// cell-sampling hash family and the accept-cap constant κ0.
 //   (a) Mixing hash (experiments' default) vs Θ(log m)-wise independent
 //       polynomial hash (theory's assumption), across independence k:
 //       per-item time and sampling accuracy must match — the polynomial

@@ -3,8 +3,9 @@
 //       levels, far from quadrupling space.
 //   (b) Amortized per-item time vs window size.
 //   (c) The within-window sampling profile: uniform up to the boundary-
-//       group recency bias documented in DESIGN.md §3 (the newest ~log w
-//       positions are oversampled up to ~2.5x; the Θ(1/n) band holds).
+//       group recency bias documented in docs/ARCHITECTURE.md (the newest
+//       ~log w positions are oversampled up to ~2.5x; the Θ(1/n) band
+//       holds).
 
 #include <chrono>
 #include <cstdio>
@@ -79,7 +80,8 @@ int main() {
   }
   std::printf(
       "\nexpected shape: ~1.0 across most of the window, ramping up over\n"
-      "the newest ~log2(w) positions (boundary-group bias, DESIGN.md §3);\n"
+      "the newest ~log2(w) positions (boundary-group bias,\n"
+      "docs/ARCHITECTURE.md);\n"
       "all positions within the Theta(1/n) band [0.25, 4].\n");
   return 0;
 }

@@ -13,9 +13,7 @@
 //            columns, open-addressing cell index, intrusive stamp list,
 //            arena-internal PromoteInto), point-at-a-time;
 //   pool S — ShardedSwSamplerPool with S ∈ {1, 2, 4, 8} persistent lanes
-//            fed 2048-point borrowed chunks + one final Drain;
-//   adapt4 — the 4-lane pool fed through FeedAdaptive (queue-depth-driven
-//            chunk sizing, core/chunk_policy.h) instead of fixed chunks.
+//            fed 2048-point borrowed chunks + one final Drain.
 //
 // Time-based paths over the same stream carrying explicit stamps
 // (inter-arrival gaps uniform in {1..3}; window scaled by the mean gap
@@ -117,12 +115,11 @@ int main() {
               "\"cores\": %u, \"rows\": [",
               repeats, static_cast<long long>(kWindow), cores);
   std::fprintf(stderr,
-               "%-10s %4s %8s | %12s %12s %8s | %10s %10s %10s %10s %10s "
+               "%-10s %4s %8s | %12s %12s %8s | %10s %10s %10s %10s "
                "| %10s %10s %10s\n",
                "workload", "dim", "points", "legacy p/s", "flat p/s",
                "flat x", "pool1 p/s", "pool2 p/s", "pool4 p/s",
-               "pool8 p/s", "adapt4 p/s", "tflat p/s", "tpool1 p/s",
-               "tpool4 p/s");
+               "pool8 p/s", "tflat p/s", "tpool1 p/s", "tpool4 p/s");
 
   bool first = true;
   for (size_t dim : {2, 5}) {
@@ -159,18 +156,6 @@ int main() {
         return pool.SpaceWords();
       });
     }
-    // Adaptive chunk sizing on the 4-lane pool: same stream, chunk sizes
-    // driven by queue depth instead of fixed 2048. FeedAdaptive copies
-    // each chunk, so this row also carries the copy the fixed rows skip.
-    const double adapt4 = BestOf(repeats, data.size(), [&](int rep) {
-      SamplerOptions o = opts;
-      o.seed = seed + rep;
-      auto pool = ShardedSwSamplerPool::Create(o, kWindow, 4).value();
-      pool.FeedAdaptive(Span<const Point>(data.points));
-      pool.Drain();
-      return pool.SpaceWords();
-    });
-
     // Time-based rows: explicit stamps with mean gap 2 (uniform {1..3});
     // the window spans the same expected point population as kWindow.
     const std::vector<rl0::StampedPoint> stamped =
@@ -299,23 +284,22 @@ int main() {
     const double flat_x = flat / legacy;
     std::fprintf(stderr,
                  "%-10s %4zu %8zu | %12.0f %12.0f %7.2fx | %10.0f %10.0f "
-                 "%10.0f %10.0f %10.0f | %10.0f %10.0f %10.0f\n",
+                 "%10.0f %10.0f | %10.0f %10.0f %10.0f\n",
                  data.name.c_str(), dim, data.size(), legacy, flat, flat_x,
                  pool_rate[0], pool_rate[1], pool_rate[2], pool_rate[3],
-                 adapt4, tflat, tpool_rate[0], tpool_rate[1]);
+                 tflat, tpool_rate[0], tpool_rate[1]);
     std::printf(
         "%s{\"workload\": \"%s\", \"dim\": %zu, \"points\": %zu, "
         "\"legacy_points_per_sec\": %.0f, \"flat_points_per_sec\": %.0f, "
         "\"flat_speedup\": %.3f, \"pool1_points_per_sec\": %.0f, "
         "\"pool2_points_per_sec\": %.0f, \"pool4_points_per_sec\": %.0f, "
         "\"pool8_points_per_sec\": %.0f, "
-        "\"adaptive4_points_per_sec\": %.0f, "
         "\"time_flat_points_per_sec\": %.0f, "
         "\"time_pool1_points_per_sec\": %.0f, "
         "\"time_pool4_points_per_sec\": %.0f%s}",
         first ? "" : ", ", data.name.c_str(), dim, data.size(), legacy, flat,
         flat_x, pool_rate[0], pool_rate[1], pool_rate[2], pool_rate[3],
-        adapt4, tflat, tpool_rate[0], tpool_rate[1],
+        tflat, tpool_rate[0], tpool_rate[1],
         // Marks the pool columns only: flat_speedup is serial-vs-serial
         // and stays comparable on any core count.
         cores == 1 ? ", \"overhead_only\": true" : "");

@@ -1,7 +1,8 @@
 // Shared benchmark harness: the paper's eight evaluation datasets, the
 // distribution / timing / space experiment runners, and table printing.
 //
-// Reproduction methodology (see DESIGN.md §3-4):
+// Reproduction methodology (see docs/BENCHMARKS.md, "Paper-figure
+// reproductions"):
 //  * Datasets follow Section 6.1: base points → rescale to unit minimum
 //    pairwise distance → near-duplicates with uniform {1..100} or
 //    power-law ⌈n/i⌉ counts and noise length in (0, 1/(2 d^1.5)) →

@@ -992,16 +992,9 @@ Result<ShardedSwSamplerPool> RecoverPool(
 
   IngestPool::Options popts = pipeline_options;
   popts.index_base = hdr.points_fed;
-  Result<ShardedSwSamplerPool> created = ShardedSwSamplerPool::Create(
-      restored[0].options(), hdr.window, restored.size(), popts);
-  if (!created.ok()) return created.status();
-  ShardedSwSamplerPool pool = std::move(created).value();
-  // Move the restored samplers into the freshly created lane slots. The
-  // lane sinks capture &shards_[s], which is stable (the vector never
-  // resizes), so move-assignment replaces each lane's state in place.
-  for (size_t s = 0; s < restored.size(); ++s) {
-    pool.shards_[s] = std::move(restored[s]);
-  }
+  // The lanes are built around the restored samplers (ParsePoolCheckpoint
+  // guarantees at least one shard).
+  ShardedSwSamplerPool pool(std::move(restored), hdr.window, popts);
   if (hdr.mode != 0) {
     pool.mode_->store(hdr.mode, std::memory_order_relaxed);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rl0/util/check.h"
 #include "rl0/util/rng.h"
 
 namespace rl0 {
@@ -42,59 +43,41 @@ Result<F0EstimatorIW> F0EstimatorIW::Create(const F0Options& options) {
     if (!sampler.ok()) return sampler.status();
     samplers.push_back(std::move(sampler).value());
   }
-  return F0EstimatorIW(std::move(samplers));
+  return F0EstimatorIW(ShardedSamplerPool(
+      std::move(samplers), IngestPool::Options(), /*broadcast=*/true));
 }
 
-F0EstimatorIW::F0EstimatorIW(std::vector<RobustL0SamplerIW> samplers)
-    : samplers_(std::move(samplers)),
-      pipe_(std::make_unique<PipelineFront>()) {}
+F0EstimatorIW::F0EstimatorIW(ShardedSamplerPool pool)
+    : pool_(std::move(pool)) {}
+
+void F0EstimatorIW::EnterSerialMode() {
+  // Checked once, on the first serial insert; Feed checks the flag.
+  if (!serial_) RL0_CHECK(pool_.points_fed() == 0);
+  serial_ = true;
+}
 
 void F0EstimatorIW::Insert(const Point& p) {
-  for (RobustL0SamplerIW& sampler : samplers_) sampler.Insert(p);
+  EnterSerialMode();
+  for (size_t c = 0; c < copies(); ++c) pool_.shard(c).Insert(p);
 }
 
 void F0EstimatorIW::InsertBatch(Span<const Point> points) {
-  for (RobustL0SamplerIW& sampler : samplers_) sampler.InsertBatch(points);
-}
-
-IngestPool* F0EstimatorIW::EnsurePipeline() {
-  MutexLock lock(&pipe_->mu);
-  if (pipe_->pipeline) return pipe_->pipeline.get();
-  std::vector<IngestPool::Sink> sinks;
-  sinks.reserve(samplers_.size());
-  for (RobustL0SamplerIW& sampler : samplers_) {
-    RobustL0SamplerIW* copy = &sampler;
-    // Unlike the sharded pool's strided lanes, every copy consumes the
-    // whole stream: the copies differ by seed, not by partition.
-    sinks.push_back([copy](Span<const Point> chunk, uint64_t /*base*/) {
-      copy->InsertBatch(chunk);
-    });
-  }
-  pipe_->pipeline = std::make_unique<IngestPool>(std::move(sinks));
-  return pipe_->pipeline.get();
+  EnterSerialMode();
+  for (size_t c = 0; c < copies(); ++c) pool_.shard(c).InsertBatch(points);
 }
 
 void F0EstimatorIW::Feed(Span<const Point> points) {
-  EnsurePipeline()->Feed(points);
+  RL0_CHECK(!serial_);
+  pool_.Feed(points);
 }
 
-void F0EstimatorIW::FeedOwned(std::vector<Point> points) {
-  EnsurePipeline()->FeedOwned(std::move(points));
-}
-
-void F0EstimatorIW::Drain() {
-  IngestPool* pipeline;
-  {
-    MutexLock lock(&pipe_->mu);
-    pipeline = pipe_->pipeline.get();
-  }
-  if (pipeline != nullptr) pipeline->Drain();
-}
+void F0EstimatorIW::Drain() { pool_.Drain(); }
 
 std::vector<double> F0EstimatorIW::CopyEstimates() const {
   std::vector<double> estimates;
-  estimates.reserve(samplers_.size());
-  for (const RobustL0SamplerIW& sampler : samplers_) {
+  estimates.reserve(copies());
+  for (size_t c = 0; c < copies(); ++c) {
+    const RobustL0SamplerIW& sampler = pool_.shard(c);
     estimates.push_back(static_cast<double>(sampler.accept_size()) *
                         static_cast<double>(sampler.rate_reciprocal()));
   }
@@ -107,14 +90,6 @@ double F0EstimatorIW::Estimate() const {
   std::nth_element(estimates.begin(),
                    estimates.begin() + estimates.size() / 2, estimates.end());
   return estimates[estimates.size() / 2];
-}
-
-size_t F0EstimatorIW::SpaceWords() const {
-  size_t words = 0;
-  for (const RobustL0SamplerIW& sampler : samplers_) {
-    words += sampler.SpaceWords();
-  }
-  return words;
 }
 
 }  // namespace rl0

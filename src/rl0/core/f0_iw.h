@@ -12,16 +12,13 @@
 #define RL0_CORE_F0_IW_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "rl0/core/ingest_pool.h"
 #include "rl0/core/iw_sampler.h"
 #include "rl0/core/options.h"
+#include "rl0/core/sharded_pool.h"
 #include "rl0/util/span.h"
 #include "rl0/util/status.h"
-#include "rl0/util/sync.h"
-#include "rl0/util/thread_annotations.h"
 
 namespace rl0 {
 
@@ -44,6 +41,12 @@ struct F0Options {
 };
 
 /// (1+ε)-approximate robust F0 for the infinite window.
+///
+/// The copies are the lanes of a broadcast ShardedSamplerPool: every lane
+/// consumes the whole stream (the copies differ by seed, not by
+/// partition). Each estimator has one ingestion mode — serial
+/// Insert/InsertBatch or pipelined Feed; mixing them CHECK-fails. A
+/// serial-only estimator spawns no threads.
 class F0EstimatorIW {
  public:
   /// Validates options and constructs the estimator.
@@ -61,12 +64,8 @@ class F0EstimatorIW {
   /// copy is a pipeline lane with its own worker thread, so the copies
   /// consume the chunk in parallel instead of sequentially. Copies the
   /// chunk once (shared across lanes); safe from any number of threads.
-  /// Workers start lazily on the first Feed. Do not mix with the serial
-  /// Insert/InsertBatch calls without an intervening Drain().
+  /// Bit-identical to InsertBatch of the same stream, for any chunking.
   void Feed(Span<const Point> points);
-
-  /// As Feed but adopts the vector — no copy.
-  void FeedOwned(std::vector<Point> points);
 
   /// Blocks until everything fed before this call is consumed by every
   /// copy. Required before Estimate()/CopyEstimates() after feeding.
@@ -80,45 +79,30 @@ class F0EstimatorIW {
   std::vector<double> CopyEstimates() const;
 
   /// Number of copies.
-  size_t copies() const { return samplers_.size(); }
+  size_t copies() const { return pool_.num_shards(); }
 
   /// Read access to one underlying sampler copy (introspection for
   /// tests). Requires a drained pipeline.
   const RobustL0SamplerIW& copy_sampler(size_t i) const {
-    return samplers_[i];
+    return pool_.shard(i);
   }
 
   /// Total space in words across copies.
-  size_t SpaceWords() const;
+  size_t SpaceWords() const { return pool_.SpaceWords(); }
 
   /// Summed duplicate-suppression counters over the per-copy samplers
   /// (core/dup_filter.h). Requires a drained pipeline.
-  DupFilterStats FilterStats() const {
-    DupFilterStats stats;
-    for (const RobustL0SamplerIW& s : samplers_) stats += s.filter_stats();
-    return stats;
-  }
+  DupFilterStats FilterStats() const { return pool_.FilterStats(); }
 
  private:
-  explicit F0EstimatorIW(std::vector<RobustL0SamplerIW> samplers);
+  explicit F0EstimatorIW(ShardedSamplerPool pool);
 
-  /// The lazily created pipeline grouped with the mutex that guards its
-  /// creation (sibling RL0_GUARDED_BY); heap-allocated through the
-  /// unique_ptr below so the estimator stays movable.
-  struct PipelineFront {
-    Mutex mu;
-    std::unique_ptr<IngestPool> pipeline RL0_GUARDED_BY(mu);
-  };
+  /// Enters serial ingestion; CHECK-fails if anything was fed.
+  void EnterSerialMode();
 
-  /// Starts the per-copy pipeline workers on the first Feed (estimators
-  /// that only ever InsertBatch never spawn threads). Takes pipe_->mu,
-  /// so concurrent first Feeds are safe. Sink addresses stay valid
-  /// across moves of the estimator: samplers_ never resizes, and its
-  /// heap buffer moves with the object.
-  IngestPool* EnsurePipeline();
-
-  std::vector<RobustL0SamplerIW> samplers_;
-  std::unique_ptr<PipelineFront> pipe_;
+  ShardedSamplerPool pool_;
+  /// Set by the first serial insert (Feed CHECK-fails afterwards).
+  bool serial_ = false;
 };
 
 }  // namespace rl0

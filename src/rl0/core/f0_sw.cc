@@ -33,207 +33,55 @@ Result<F0EstimatorSW> F0EstimatorSW::Create(const F0SwOptions& options) {
     if (!sampler.ok()) return sampler.status();
     samplers.push_back(std::move(sampler).value());
   }
-  return F0EstimatorSW(std::move(samplers), options.copies,
-                       options.repetitions, options.combiner, options.phi);
+  return F0EstimatorSW(
+      ShardedSwSamplerPool(std::move(samplers), options.window,
+                           IngestPool::Options(), /*broadcast=*/true),
+      options.copies, options.repetitions, options.combiner, options.phi);
 }
 
-F0EstimatorSW::F0EstimatorSW(std::vector<RobustL0SamplerSW> samplers,
-                             size_t copies, size_t repetitions,
-                             F0SwCombiner combiner, double phi)
-    : samplers_(std::move(samplers)),
+F0EstimatorSW::F0EstimatorSW(ShardedSwSamplerPool pool, size_t copies,
+                             size_t repetitions, F0SwCombiner combiner,
+                             double phi)
+    : pool_(std::move(pool)),
       copies_(copies),
       repetitions_(repetitions),
       combiner_(combiner),
-      phi_(phi),
-      pipe_(std::make_unique<PipelineFront>()),
-      reorder_fe_(std::make_unique<ReorderFrontEnd>()) {}
+      phi_(phi) {}
 
 void F0EstimatorSW::Insert(const Point& p, int64_t stamp) {
-  {
-    // Keep the pipeline's index space — and its stamp watermark — in
-    // step with serially inserted points, so a later Feed never reuses a
-    // stream position and a later FeedStamped never regresses the stamp
-    // sequence. The counter writes happen under the same lock: Drain
-    // writes them and LatchFeedMode reads them under pipe_->mu, so an
-    // unguarded update here would race a concurrent first Feed.
-    MutexLock lock(&pipe_->mu);
-    pipe_->latest_stamp = stamp;
-    ++pipe_->points_processed;
-    if (pipe_->pipeline) {
-      pipe_->pipeline->AdvanceIndexBase(1);
-      pipe_->pipeline->NoteStamp(stamp);
-    }
+  // One ingestion mode per estimator: checked on the first serial insert
+  // here, and against serial_points_ by the feeds.
+  if (serial_points_ == 0) RL0_CHECK(pool_.points_fed() == 0);
+  for (size_t c = 0; c < pool_.num_shards(); ++c) {
+    pool_.shard(c).Insert(p, stamp);
   }
-  for (RobustL0SamplerSW& sampler : samplers_) sampler.Insert(p, stamp);
+  ++serial_points_;
+  serial_latest_stamp_ = stamp;
 }
 
 void F0EstimatorSW::Insert(const Point& p) {
-  int64_t next_stamp;
-  {
-    MutexLock lock(&pipe_->mu);
-    next_stamp = static_cast<int64_t>(pipe_->points_processed);
-  }
-  Insert(p, next_stamp);
-}
-
-IngestPool* F0EstimatorSW::EnsurePipeline() {
-  MutexLock lock(&pipe_->mu);
-  if (pipe_->pipeline) return pipe_->pipeline.get();
-  std::vector<IngestPool::Sink> sinks;
-  std::vector<IngestPool::StampedSink> stamped_sinks;
-  std::vector<IngestPool::WatermarkSink> watermark_sinks;
-  sinks.reserve(samplers_.size());
-  stamped_sinks.reserve(samplers_.size());
-  watermark_sinks.reserve(samplers_.size());
-  for (RobustL0SamplerSW& sampler : samplers_) {
-    RobustL0SamplerSW* copy = &sampler;
-    // Every copy consumes the whole stream (the copies differ by seed,
-    // not by partition). Plain chunks derive stamps from the chunk's
-    // global index base — the same stamps the sequence-stamped serial
-    // Insert path assigns; stamped chunks carry their explicit stamps.
-    sinks.push_back([copy](Span<const Point> chunk, uint64_t base) {
-      copy->InsertStrided(chunk, 0, 1, base);
-    });
-    stamped_sinks.push_back([copy](Span<const Point> chunk,
-                                   Span<const int64_t> stamps,
-                                   uint64_t base) {
-      copy->InsertStridedStamped(chunk, stamps, 0, 1, base);
-    });
-    watermark_sinks.push_back([copy](int64_t watermark) {
-      copy->NoteWatermark(watermark);
-    });
-  }
-  IngestPool::Options options;
-  // Continue the index (and stamp) sequence where serial inserts left
-  // off.
-  options.index_base = pipe_->points_processed;
-  pipe_->pipeline = std::make_unique<IngestPool>(std::move(sinks),
-                                                 std::move(stamped_sinks),
-                                                 std::move(watermark_sinks),
-                                                 options);
-  if (pipe_->points_processed > 0) {
-    pipe_->pipeline->NoteStamp(pipe_->latest_stamp);
-  }
-  return pipe_->pipeline.get();
-}
-
-void F0EstimatorSW::LatchFeedMode(FeedMode mode) {
-  // One estimator streams through exactly one feed family: plain Feed
-  // derives sequence stamps that never reach the pipeline's stamp
-  // watermark, so a stamped feed after plain feeds (or vice versa)
-  // would silently regress the samplers' stamp sequence in release
-  // builds — the same mix ShardedSwSamplerPool::LatchMode rejects.
-  // Serial Insert composes with either family (subject to the stamp
-  // checks below). Under pipe_->mu: Drain writes the watermark
-  // fields under the same lock.
-  MutexLock lock(&pipe_->mu);
-  RL0_CHECK(pipe_->feed_mode == FeedMode::kUnset || pipe_->feed_mode == mode);
-  if (mode == FeedMode::kSequence) {
-    // Plain feeds derive stamps from stream positions, so they also
-    // require sequence-stamped serial history (stamp = arrival index).
-    RL0_CHECK(pipe_->points_processed == 0 ||
-              pipe_->latest_stamp + 1 ==
-                  static_cast<int64_t>(pipe_->points_processed));
-  }
-  pipe_->feed_mode = mode;
+  Insert(p, static_cast<int64_t>(serial_points_));
 }
 
 void F0EstimatorSW::Feed(Span<const Point> points) {
-  LatchFeedMode(FeedMode::kSequence);
-  EnsurePipeline()->Feed(points);
-}
-
-void F0EstimatorSW::FeedOwned(std::vector<Point> points) {
-  LatchFeedMode(FeedMode::kSequence);
-  EnsurePipeline()->FeedOwned(std::move(points));
+  RL0_CHECK(serial_points_ == 0);
+  pool_.Feed(points);
 }
 
 void F0EstimatorSW::FeedStamped(Span<const Point> points,
                                 Span<const int64_t> stamps) {
-  LatchFeedMode(FeedMode::kStamped);
-  EnsurePipeline()->FeedStamped(points, stamps);
+  RL0_CHECK(serial_points_ == 0);
+  pool_.FeedStamped(points, stamps);
 }
 
-void F0EstimatorSW::FeedOwnedStamped(std::vector<Point> points,
-                                     std::vector<int64_t> stamps) {
-  LatchFeedMode(FeedMode::kStamped);
-  EnsurePipeline()->FeedOwnedStamped(std::move(points), std::move(stamps));
-}
-
-void F0EstimatorSW::FeedStampedLate(Span<const Point> points,
-                                    Span<const int64_t> stamps) {
-  RL0_CHECK(stamps.size() == points.size());
-  LatchFeedMode(FeedMode::kStamped);
-  IngestPool* pipeline = EnsurePipeline();
-  ReorderFrontEnd* fe = reorder_fe_.get();
-  MutexLock lock(&fe->mu);
-  if (!fe->stage) {
-    const SamplerOptions& opts = samplers_[0].options();
-    fe->stage = std::make_unique<ReorderStage>(opts.allowed_lateness,
-                                               opts.late_policy);
-  }
-  fe->stage->OfferBatch(points, stamps);
-  std::vector<Point> released_points;
-  std::vector<int64_t> released_stamps;
-  if (fe->stage->TakeReleased(&released_points, &released_stamps)) {
-    pipeline->FeedOwnedStamped(std::move(released_points),
-                               std::move(released_stamps));
-  }
-  if (fe->stage->has_watermark()) {
-    const int64_t watermark = fe->stage->watermark();
-    if (!fe->watermark_sent || watermark > fe->last_watermark) {
-      pipeline->FeedWatermark(watermark);
-      fe->watermark_sent = true;
-      fe->last_watermark = watermark;
-    }
-  }
-}
-
-void F0EstimatorSW::FlushLate() {
-  {
-    ReorderFrontEnd* fe = reorder_fe_.get();
-    MutexLock lock(&fe->mu);
-    if (!fe->stage) return;
-    fe->stage->Flush();
-  }
-  // Re-enter the shared pump via a zero-point late feed: the flush
-  // staged its releases, and an empty OfferBatch is a no-op on top.
-  FeedStampedLate(Span<const Point>(), Span<const int64_t>());
-}
-
-ReorderStats F0EstimatorSW::late_stats() const {
-  ReorderFrontEnd* fe = reorder_fe_.get();
-  MutexLock lock(&fe->mu);
-  return fe->stage ? fe->stage->stats() : ReorderStats();
-}
-
-void F0EstimatorSW::Drain() {
-  IngestPool* pipeline;
-  {
-    MutexLock lock(&pipe_->mu);
-    pipeline = pipe_->pipeline.get();
-  }
-  if (pipeline == nullptr) return;
-  pipeline->Drain();
-  // Sync the watermark so EstimateLatest() sees the fed stream's end:
-  // the last explicit stamp on the stamped path (which also folds in any
-  // serial inserts via NoteStamp), the last stream position otherwise.
-  // Under pipe_->mu: concurrent Feeds read these fields through
-  // LatchFeedMode.
-  MutexLock lock(&pipe_->mu);
-  pipe_->points_processed = pipeline->points_fed();
-  pipe_->latest_stamp =
-      pipe_->feed_mode == FeedMode::kStamped
-          ? pipeline->latest_stamp()
-          : static_cast<int64_t>(pipe_->points_processed) - 1;
-}
+void F0EstimatorSW::Drain() { pool_.Drain(); }
 
 double F0EstimatorSW::CombineRepetition(size_t rep, int64_t now) {
   // Collect the deepest non-empty level of each copy in this repetition.
   std::vector<double> levels;
   levels.reserve(copies_);
   for (size_t c = 0; c < copies_; ++c) {
-    RobustL0SamplerSW& sampler = samplers_[rep * copies_ + c];
+    RobustL0SamplerSW& sampler = pool_.shard(rep * copies_ + c);
     const std::optional<uint32_t> deepest = sampler.DeepestNonEmptyLevel(now);
     if (!deepest.has_value()) continue;  // empty window in this copy
     levels.push_back(static_cast<double>(*deepest));
@@ -270,20 +118,7 @@ double F0EstimatorSW::Estimate(int64_t now) {
 }
 
 double F0EstimatorSW::EstimateLatest() {
-  int64_t now;
-  {
-    MutexLock lock(&pipe_->mu);
-    now = pipe_->latest_stamp;
-  }
-  return Estimate(now);
-}
-
-size_t F0EstimatorSW::SpaceWords() const {
-  size_t words = 0;
-  for (const RobustL0SamplerSW& sampler : samplers_) {
-    words += sampler.SpaceWords();
-  }
-  return words;
+  return Estimate(serial_points_ > 0 ? serial_latest_stamp_ : pool_.now());
 }
 
 }  // namespace rl0

@@ -16,17 +16,13 @@
 #define RL0_CORE_F0_SW_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "rl0/core/ingest_pool.h"
 #include "rl0/core/options.h"
-#include "rl0/core/reorder_buffer.h"
+#include "rl0/core/sharded_pool.h"
 #include "rl0/core/sw_sampler.h"
 #include "rl0/util/span.h"
 #include "rl0/util/status.h"
-#include "rl0/util/sync.h"
-#include "rl0/util/thread_annotations.h"
 
 namespace rl0 {
 
@@ -62,6 +58,13 @@ struct F0SwOptions {
 };
 
 /// Constant-factor / (1+ε) robust F0 estimator for sliding windows.
+///
+/// The copies are the lanes of a broadcast ShardedSwSamplerPool: every
+/// lane consumes the whole stream (the copies differ by seed, not by
+/// partition). Each estimator has one ingestion mode — serial Insert or
+/// pipelined Feed/FeedStamped; mixing them CHECK-fails, and so does
+/// mixing Feed with FeedStamped (the pool's stamp-mode latch). A
+/// serial-only estimator spawns no threads.
 class F0EstimatorSW {
  public:
   /// Validates options and constructs the estimator.
@@ -76,60 +79,19 @@ class F0EstimatorSW {
   /// Streams a chunk through the persistent ingestion pipeline: every
   /// copy is a pipeline lane with its own worker thread, each consuming
   /// the whole chunk with sequence stamps derived from the chunk's global
-  /// index base (bit-identical to the serial Insert path). Copies the
+  /// index base (bit-identical to the serial Insert(p) path). Copies the
   /// chunk once (shared across lanes); safe from any number of threads.
-  /// Workers start lazily on the first Feed, continuing the stamp
-  /// sequence after any serial inserts. Sequence-stamped estimators
-  /// only — Feed cannot invent stamps for a time-based estimator
-  /// (explicit stamps that diverged from arrival indices); those stream
-  /// through FeedStamped instead (CHECK enforces it). Do not mix with
-  /// the serial Insert calls without an intervening Drain().
   void Feed(Span<const Point> points);
 
-  /// As Feed but adopts the vector — no copy.
-  void FeedOwned(std::vector<Point> points);
-
   /// The explicit-stamp (time-based) pipeline path: streams a chunk with
-  /// its parallel stamp array to every copy. Stamps must align with the
-  /// points and be non-decreasing across everything inserted or fed so
-  /// far (serial explicit-stamp inserts raise the pipeline's stamp
-  /// watermark, so mixed serial/Feed ingestion keeps one monotone stamp
-  /// sequence — pinned in tests/f0_test.cc). Cannot follow plain Feeds:
-  /// one estimator streams through exactly one feed family (plain chunks
-  /// bypass the stamp watermark; a mix CHECK-fails). Safe from any
-  /// number of threads as long as the stamp order is externally
-  /// coherent.
+  /// its parallel stamp array to every copy (bit-identical to serial
+  /// Insert(p, stamp)). Stamps must align with the points and be
+  /// non-decreasing across everything fed. Safe from any number of
+  /// threads as long as the stamp order is externally coherent.
   void FeedStamped(Span<const Point> points, Span<const int64_t> stamps);
 
-  /// As FeedStamped but adopts both vectors — no copy.
-  void FeedOwnedStamped(std::vector<Point> points,
-                        std::vector<int64_t> stamps);
-
-  /// Bounded-lateness explicit-stamp feeding (core/reorder_buffer.h):
-  /// stamps may run backwards by up to options.sampler.allowed_lateness
-  /// behind the maximum stamp seen across late feeds; an estimator-level
-  /// ReorderStage restores sorted order, streams the released prefix to
-  /// every copy, and broadcasts watermarks so copies advance event time
-  /// even between releases. Beyond-bound points follow
-  /// options.sampler.late_policy (late_stats() accounts for every one).
-  /// Same feed-family latch as FeedStamped (counts as the stamped
-  /// family); do not mix with the strict FeedStamped* calls. Call
-  /// FlushLate() + Drain() before estimating at end of stream.
-  void FeedStampedLate(Span<const Point> points, Span<const int64_t> stamps);
-
-  /// Releases everything the reorder stage still buffers and broadcasts
-  /// the final watermark. Drain() afterwards for the usual barrier.
-  /// No-op before any FeedStampedLate.
-  void FlushLate();
-
-  /// Counters of the estimator's reorder stage (all-zero before any
-  /// FeedStampedLate).
-  ReorderStats late_stats() const;
-
   /// Blocks until everything fed before this call is consumed by every
-  /// copy, then syncs the stamp watermark (the last fed explicit stamp
-  /// on the stamped path, the last stream position otherwise). Required
-  /// before Estimate()/EstimateLatest() after feeding.
+  /// copy. Required before Estimate()/EstimateLatest() after feeding.
   void Drain();
 
   /// Estimates the number of groups alive in the window at `now`.
@@ -137,11 +99,11 @@ class F0EstimatorSW {
   /// window.
   double Estimate(int64_t now);
 
-  /// Estimate at the stamp of the most recent insertion.
+  /// Estimate at the stamp of the most recent insertion (or fed point).
   double EstimateLatest();
 
   /// Total space in words across all copies.
-  size_t SpaceWords() const;
+  size_t SpaceWords() const { return pool_.SpaceWords(); }
 
   /// Number of copies per repetition / repetitions (introspection).
   size_t copies() const { return copies_; }
@@ -150,60 +112,24 @@ class F0EstimatorSW {
   /// Read access to one underlying sampler copy (introspection for
   /// tests). Requires a drained pipeline.
   const RobustL0SamplerSW& copy_sampler(size_t i) const {
-    return samplers_[i];
+    return pool_.shard(i);
   }
 
  private:
-  F0EstimatorSW(std::vector<RobustL0SamplerSW> samplers, size_t copies,
-                size_t repetitions, F0SwCombiner combiner, double phi);
+  F0EstimatorSW(ShardedSwSamplerPool pool, size_t copies, size_t repetitions,
+                F0SwCombiner combiner, double phi);
 
   double CombineRepetition(size_t rep, int64_t now);
 
-  /// Which feed family the estimator streams through. Latched by the
-  /// first Feed*/FeedStamped* call; the families cannot mix (plain
-  /// chunks derive sequence stamps that bypass the stamp watermark).
-  enum class FeedMode : uint8_t { kUnset = 0, kSequence = 1, kStamped = 2 };
-
-  /// Pipeline-side mutable state grouped with the mutex that guards it
-  /// (sibling RL0_GUARDED_BY keeps the guard expressible); the estimator
-  /// holds it through a unique_ptr so it stays movable.
-  struct PipelineFront {
-    Mutex mu;
-    /// Created lazily by the first Feed (see EnsurePipeline).
-    std::unique_ptr<IngestPool> pipeline RL0_GUARDED_BY(mu);
-    /// The latched feed family; decides how Drain syncs the stamp
-    /// watermark and rejects feed-family mixes.
-    FeedMode feed_mode RL0_GUARDED_BY(mu) = FeedMode::kUnset;
-    /// Stamp/position of the most recent insertion (serial inserts
-    /// update it inline; Drain syncs it from the pipeline).
-    int64_t latest_stamp RL0_GUARDED_BY(mu) = 0;
-    uint64_t points_processed RL0_GUARDED_BY(mu) = 0;
-  };
-
-  /// Latches the feed family and validates its stamp preconditions;
-  /// CHECK-fails on a mix. Takes pipe_->mu.
-  void LatchFeedMode(FeedMode mode);
-
-  /// Starts the per-copy pipeline workers on the first Feed (estimators
-  /// that only ever Insert never spawn threads). Takes pipe_->mu.
-  /// The pipeline's index base continues after any serial inserts, so
-  /// stamps stay globally consistent. Sink addresses stay valid across
-  /// moves: samplers_ never resizes and its heap buffer moves along.
-  IngestPool* EnsurePipeline();
-
-  std::vector<RobustL0SamplerSW> samplers_;  // repetitions × copies
+  ShardedSwSamplerPool pool_;  // repetitions × copies broadcast lanes
   size_t copies_;
   size_t repetitions_;
   F0SwCombiner combiner_;
   double phi_;
-  /// Pipeline state, feed-family latch and insertion counters (see
-  /// PipelineFront).
-  std::unique_ptr<PipelineFront> pipe_;
-  /// Bounded-lateness front end of FeedStampedLate (lazy stage plus the
-  /// last watermark broadcast; core/reorder_buffer.h). Its mutex is
-  /// separate from pipe_->mu: the pump can block on backpressure and
-  /// must not hold the pipeline lock Insert/Drain need.
-  std::unique_ptr<ReorderFrontEnd> reorder_fe_;
+  /// Serial ingestion: points inserted and the latest stamp (Feed and
+  /// FeedStamped CHECK-fail once a point was inserted serially).
+  uint64_t serial_points_ = 0;
+  int64_t serial_latest_stamp_ = 0;
 };
 
 }  // namespace rl0

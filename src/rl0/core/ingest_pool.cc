@@ -7,73 +7,48 @@
 
 namespace rl0 {
 
-IngestPool::IngestPool(std::vector<Sink> sinks,
-                       std::vector<StampedSink> stamped_sinks,
-                       std::vector<WatermarkSink> watermark_sinks,
-                       const Options& options)
-    : fleet_(options.fleet),
-      queue_capacity_(options.queue_capacity < 1 ? 1
-                                                 : options.queue_capacity),
-      fed_(options.index_base) {
+IngestPool::Chunk IngestPool::Chunk::Owning(std::vector<Point> points,
+                                            std::vector<int64_t> stamps) {
+  struct Storage {
+    std::vector<Point> points;
+    std::vector<int64_t> stamps;
+  };
+  auto storage =
+      std::make_shared<const Storage>(Storage{std::move(points),
+                                              std::move(stamps)});
+  Chunk chunk;
+  chunk.points = Span<const Point>(storage->points);
+  chunk.stamps = Span<const int64_t>(storage->stamps);
+  chunk.owner = std::move(storage);
+  return chunk;
+}
+
+IngestPool::IngestPool(std::vector<Sink> sinks, const Options& options)
+    : fleet_(options.fleet), fed_(options.index_base) {
   RL0_CHECK(!sinks.empty());
-  RL0_CHECK(stamped_sinks.empty() || stamped_sinks.size() == sinks.size());
-  RL0_CHECK(watermark_sinks.empty() ||
-            watermark_sinks.size() == sinks.size());
+  const size_t queue_capacity =
+      options.queue_capacity < 1 ? 1 : options.queue_capacity;
   lanes_.reserve(sinks.size());
-  for (size_t i = 0; i < sinks.size(); ++i) {
-    StampedSink stamped =
-        stamped_sinks.empty() ? StampedSink() : std::move(stamped_sinks[i]);
-    WatermarkSink watermark = watermark_sinks.empty()
-                                  ? WatermarkSink()
-                                  : std::move(watermark_sinks[i]);
-    lanes_.push_back(std::make_unique<Lane>(queue_capacity_,
-                                            std::move(sinks[i]),
-                                            std::move(stamped),
-                                            std::move(watermark)));
+  for (Sink& sink : sinks) {
+    lanes_.push_back(std::make_unique<Lane>(queue_capacity, std::move(sink)));
   }
   if (fleet_ != nullptr) {
     for (std::unique_ptr<Lane>& lane : lanes_) {
       lane->fleet_id = fleet_->Register(
           [this, raw = lane.get()] { return RunLaneOnce(raw); });
     }
-  } else {
-    for (std::unique_ptr<Lane>& lane : lanes_) {
-      lane->worker =
-          std::thread([this, raw = lane.get()] { WorkerLoop(raw); });
-    }
   }
 }
 
-IngestPool::IngestPool(std::vector<Sink> sinks,
-                       std::vector<StampedSink> stamped_sinks,
-                       const Options& options)
-    : IngestPool(std::move(sinks), std::move(stamped_sinks),
-                 std::vector<WatermarkSink>(), options) {}
-
-IngestPool::IngestPool(std::vector<Sink> sinks, const Options& options)
-    : IngestPool(std::move(sinks), std::vector<StampedSink>(), options) {}
-
-IngestPool::IngestPool(std::vector<Sink> sinks)
-    : IngestPool(std::move(sinks), Options()) {}
-
 IngestPool::~IngestPool() { Stop(); }
 
-void IngestPool::ProcessChunk(Lane* lane, Chunk chunk) {
+void IngestPool::ProcessChunk(Lane* lane, Item item) {
   {
     MutexLock proc(&lane->proc_mu);
-    if (chunk.watermark_only) {
-      lane->watermark_sink(chunk.watermark);
-    } else if (chunk.stamps != nullptr) {
-      lane->stamped_sink(Span<const Point>(chunk.data, chunk.size),
-                         Span<const int64_t>(chunk.stamps, chunk.size),
-                         chunk.index_base);
-    } else {
-      lane->sink(Span<const Point>(chunk.data, chunk.size),
-                 chunk.index_base);
-    }
+    lane->sink(item.chunk.points, item.chunk.stamps, item.index_base,
+               item.watermark ? &*item.watermark : nullptr);
   }
-  chunk.owner.reset();  // release chunk storage before signalling
-  chunk.stamp_owner.reset();
+  item.chunk.owner.reset();  // release chunk storage before signalling
   {
     MutexLock done(&lane->done_mu);
     ++lane->completed;
@@ -82,21 +57,20 @@ void IngestPool::ProcessChunk(Lane* lane, Chunk chunk) {
 }
 
 void IngestPool::WorkerLoop(Lane* lane) {
-  Chunk chunk;
-  while (lane->queue.Pop(&chunk)) {
-    ProcessChunk(lane, std::move(chunk));
+  Item item;
+  while (lane->queue.Pop(&item)) {
+    ProcessChunk(lane, std::move(item));
   }
 }
 
 bool IngestPool::RunLaneOnce(Lane* lane) {
-  Chunk chunk;
-  if (!lane->queue.TryPop(&chunk)) return false;
-  ProcessChunk(lane, std::move(chunk));
+  Item item;
+  if (!lane->queue.TryPop(&item)) return false;
+  ProcessChunk(lane, std::move(item));
   return true;
 }
 
-void IngestPool::FeedChunk(Chunk chunk) {
-  if (chunk.size == 0 && !chunk.watermark_only) return;
+void IngestPool::Enqueue(Item item) {
   // One critical section assigns the index base AND enqueues everywhere:
   // every lane sees the same chunk order, and bases are dense and unique
   // even under concurrent producers. Push may block here (backpressure);
@@ -105,14 +79,15 @@ void IngestPool::FeedChunk(Chunk chunk) {
   // always makes progress.
   MutexLock lock(&feed_mu_);
   if (stopped_) return;
-  if (chunk.watermark_only) {
+  const Span<const int64_t> stamps = item.chunk.stamps;
+  if (item.watermark) {
     // A watermark announces "no stamped point below this will ever be
     // fed" — regressing the pool's stamp watermark would falsify the
     // announcements already broadcast.
-    RL0_CHECK(!stamp_watermark_set_ || chunk.watermark >= latest_stamp_);
-    latest_stamp_ = chunk.watermark;
+    RL0_CHECK(!stamp_watermark_set_ || *item.watermark >= latest_stamp_);
+    latest_stamp_ = *item.watermark;
     stamp_watermark_set_ = true;
-  } else if (chunk.stamps != nullptr) {
+  } else if (!stamps.empty()) {
     // Stamped chunks ride the same critical section, so the stamp
     // sequence is monotone in enqueue order — the time-based analogue of
     // the index-base contract. A violation means the producer handed the
@@ -120,15 +95,22 @@ void IngestPool::FeedChunk(Chunk chunk) {
     // lane's expiry schedule. (Intra-chunk monotonicity was already
     // scanned outside this lock, so only the O(1) cross-chunk check and
     // watermark update serialize the producers.)
-    RL0_CHECK(!stamp_watermark_set_ || chunk.stamps[0] >= latest_stamp_);
-    latest_stamp_ = chunk.stamps[chunk.size - 1];
+    RL0_CHECK(!stamp_watermark_set_ || stamps[0] >= latest_stamp_);
+    latest_stamp_ = stamps[stamps.size() - 1];
     stamp_watermark_set_ = true;
   }
-  chunk.index_base = fed_;
-  fed_ += chunk.size;
+  if (fleet_ == nullptr && !workers_started_) {
+    for (std::unique_ptr<Lane>& lane : lanes_) {
+      lane->worker =
+          std::thread([this, raw = lane.get()] { WorkerLoop(raw); });
+    }
+    workers_started_ = true;
+  }
+  item.index_base = fed_;
+  fed_ += item.chunk.points.size();
   ++chunks_fed_;
   for (std::unique_ptr<Lane>& lane : lanes_) {
-    lane->queue.Push(chunk);
+    lane->queue.Push(item);
     // Fleet mode: wake a shared worker for this lane right after its
     // push, so an earlier lane progresses even while a later lane's
     // full queue blocks the loop.
@@ -136,95 +118,25 @@ void IngestPool::FeedChunk(Chunk chunk) {
   }
 }
 
-void IngestPool::Feed(Span<const Point> points) {
-  if (points.empty()) return;
-  auto storage = std::make_shared<const std::vector<Point>>(points.begin(),
-                                                            points.end());
-  Chunk chunk;
-  chunk.data = storage->data();
-  chunk.size = storage->size();
-  chunk.owner = std::move(storage);
-  FeedChunk(std::move(chunk));
-}
-
-void IngestPool::FeedOwned(std::vector<Point> points) {
-  if (points.empty()) return;
-  auto storage =
-      std::make_shared<const std::vector<Point>>(std::move(points));
-  Chunk chunk;
-  chunk.data = storage->data();
-  chunk.size = storage->size();
-  chunk.owner = std::move(storage);
-  FeedChunk(std::move(chunk));
-}
-
-void IngestPool::FeedBorrowed(Span<const Point> points) {
-  if (points.empty()) return;
-  Chunk chunk;
-  chunk.data = points.data();
-  chunk.size = points.size();
-  FeedChunk(std::move(chunk));
-}
-
-namespace {
-
-/// Intra-chunk stamp validation, run before the feed lock is taken (the
-/// scan is O(chunk); only the cross-chunk watermark check needs the
-/// serializing critical section).
-void CheckStampsNonDecreasing(Span<const int64_t> stamps) {
-  for (size_t i = 1; i < stamps.size(); ++i) {
-    RL0_CHECK(stamps[i] >= stamps[i - 1]);
+void IngestPool::Feed(Chunk chunk) {
+  if (chunk.points.empty()) return;
+  if (!chunk.stamps.empty()) {
+    RL0_CHECK(chunk.stamps.size() == chunk.points.size());
+    // Intra-chunk validation runs before the feed lock is taken (the
+    // scan is O(chunk); only the cross-chunk check needs the lock).
+    for (size_t i = 1; i < chunk.stamps.size(); ++i) {
+      RL0_CHECK(chunk.stamps[i] >= chunk.stamps[i - 1]);
+    }
   }
-}
-
-}  // namespace
-
-void IngestPool::FeedStamped(Span<const Point> points,
-                             Span<const int64_t> stamps) {
-  if (points.empty()) return;
-  RL0_CHECK(stamps.size() == points.size());
-  FeedOwnedStamped(std::vector<Point>(points.begin(), points.end()),
-                   std::vector<int64_t>(stamps.begin(), stamps.end()));
-}
-
-void IngestPool::FeedOwnedStamped(std::vector<Point> points,
-                                  std::vector<int64_t> stamps) {
-  if (points.empty()) return;
-  RL0_CHECK(stamps.size() == points.size());
-  RL0_CHECK(lanes_[0]->stamped_sink != nullptr);
-  CheckStampsNonDecreasing(Span<const int64_t>(stamps.data(), stamps.size()));
-  auto storage =
-      std::make_shared<const std::vector<Point>>(std::move(points));
-  auto stamp_storage =
-      std::make_shared<const std::vector<int64_t>>(std::move(stamps));
-  Chunk chunk;
-  chunk.data = storage->data();
-  chunk.size = storage->size();
-  chunk.owner = std::move(storage);
-  chunk.stamps = stamp_storage->data();
-  chunk.stamp_owner = std::move(stamp_storage);
-  FeedChunk(std::move(chunk));
-}
-
-void IngestPool::FeedBorrowedStamped(Span<const Point> points,
-                                     Span<const int64_t> stamps) {
-  if (points.empty()) return;
-  RL0_CHECK(stamps.size() == points.size());
-  RL0_CHECK(lanes_[0]->stamped_sink != nullptr);
-  CheckStampsNonDecreasing(stamps);
-  Chunk chunk;
-  chunk.data = points.data();
-  chunk.size = points.size();
-  chunk.stamps = stamps.data();
-  FeedChunk(std::move(chunk));
+  Item item;
+  item.chunk = std::move(chunk);
+  Enqueue(std::move(item));
 }
 
 void IngestPool::FeedWatermark(int64_t watermark) {
-  RL0_CHECK(lanes_[0]->watermark_sink != nullptr);
-  Chunk chunk;
-  chunk.watermark_only = true;
-  chunk.watermark = watermark;
-  FeedChunk(std::move(chunk));
+  Item item;
+  item.watermark = watermark;
+  Enqueue(std::move(item));
 }
 
 void IngestPool::Drain() {
@@ -274,16 +186,11 @@ void IngestPool::Stop() {
     }
     return;
   }
+  // With stopped_ set no Enqueue can start workers any more, so reading
+  // them here is ordered after their start by feed_mu_.
   for (std::unique_ptr<Lane>& lane : lanes_) {
     if (lane->worker.joinable()) lane->worker.join();
   }
-}
-
-uint64_t IngestPool::AdvanceIndexBase(uint64_t n) {
-  MutexLock lock(&feed_mu_);
-  const uint64_t base = fed_;
-  fed_ += n;
-  return base;
 }
 
 void IngestPool::NoteStamp(int64_t stamp) {
@@ -302,15 +209,6 @@ int64_t IngestPool::latest_stamp() const {
 uint64_t IngestPool::points_fed() const {
   MutexLock lock(&feed_mu_);
   return fed_;
-}
-
-size_t IngestPool::MaxQueueDepth() const {
-  size_t depth = 0;
-  for (const std::unique_ptr<Lane>& lane : lanes_) {
-    const size_t lane_depth = lane->queue.size();
-    if (lane_depth > depth) depth = lane_depth;
-  }
-  return depth;
 }
 
 }  // namespace rl0

@@ -101,10 +101,10 @@ struct SamplerOptions {
 
   /// Bounded-lateness ingestion (core/reorder_buffer.h): the late feed
   /// paths (RobustL0SamplerSW::InsertStampedLate,
-  /// ShardedSwSamplerPool::FeedStampedLate, F0EstimatorSW::
-  /// FeedStampedLate) accept stamps that run backwards by at most this
-  /// many time units behind the maximum stamp seen, reordering them into
-  /// the strict non-decreasing sequence the samplers require. Must be
+  /// ShardedSwSamplerPool::FeedStampedLate) accept stamps that run
+  /// backwards by at most this many time units behind the maximum stamp
+  /// seen, reordering them into the strict non-decreasing sequence the
+  /// samplers require. Must be
   /// ≥ 0; 0 still tolerates equal-stamp ties arriving in any order. The
   /// strict FeedStamped/InsertStamped paths ignore it.
   int64_t allowed_lateness = 0;

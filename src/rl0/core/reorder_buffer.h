@@ -216,12 +216,11 @@ class ReorderStage {
   uint64_t late_redirected_ = 0;
 };
 
-/// The serialized bounded-lateness front end shared by the wiring layers
-/// (ShardedSwSamplerPool, F0EstimatorSW): a lazily created ReorderStage
-/// plus the watermark-broadcast memory, grouped with the mutex that
-/// guards them so the discipline is a compile-time fact (sibling
-/// RL0_GUARDED_BY) while the owner — which holds this struct through a
-/// unique_ptr — stays movable.
+/// The serialized bounded-lateness front end of ShardedSwSamplerPool's
+/// late path: a lazily created ReorderStage plus the watermark-broadcast
+/// memory, grouped with the mutex that guards them so the discipline is
+/// a compile-time fact (sibling RL0_GUARDED_BY) while the owner — which
+/// holds this struct through a unique_ptr — stays movable.
 struct ReorderFrontEnd {
   Mutex mu;
   /// Created by the first late feed (or set_late_sink); null until then.

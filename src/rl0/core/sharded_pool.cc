@@ -1,7 +1,6 @@
 #include "rl0/core/sharded_pool.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "rl0/util/check.h"
@@ -10,27 +9,14 @@ namespace rl0 {
 
 namespace {
 
-/// First position i inside a chunk with (index_base + i) % shards == s —
-/// the global-residue partition both pools' sinks are built on. One copy
-/// of this arithmetic: it is what makes per-shard streams invariant
+/// First position i inside a chunk with (index_base + i) % stride ==
+/// residue — the global-residue partition both pools' sinks are built on
+/// (a broadcast pool has stride 1: every lane reads every point). One
+/// copy of this arithmetic: it is what makes per-shard streams invariant
 /// under re-chunking (the determinism contract of the pipeline tests).
-size_t StrideStart(size_t s, size_t shards, uint64_t index_base) {
-  return (s + shards - static_cast<size_t>(index_base % shards)) % shards;
-}
-
-/// The adaptive-chunk feed loop shared by both pools: chop `total`
-/// points into policy-sized chunks, report the pipeline's queue depth
-/// after each one. `feed(offset, n)` feeds the [offset, offset+n) slice.
-template <typename FeedFn>
-void FeedChunked(size_t total, AdaptiveChunkPolicy* policy,
-                 IngestPool* pipeline, FeedFn feed) {
-  size_t offset = 0;
-  while (offset < total) {
-    const size_t n = std::min(policy->chunk(), total - offset);
-    feed(offset, n);
-    offset += n;
-    policy->Observe(pipeline->MaxQueueDepth(), pipeline->queue_capacity());
-  }
+size_t StrideStart(size_t residue, size_t stride, uint64_t index_base) {
+  return (residue + stride - static_cast<size_t>(index_base % stride)) %
+         stride;
 }
 
 }  // namespace
@@ -55,47 +41,33 @@ Result<ShardedSamplerPool> ShardedSamplerPool::Create(
 
 ShardedSamplerPool::ShardedSamplerPool(
     std::vector<RobustL0SamplerIW> shards,
-    const IngestPool::Options& pipeline_options)
-    : shards_(std::move(shards)), pipeline_options_(pipeline_options) {
-  StartPipeline();
-}
-
-void ShardedSamplerPool::StartPipeline() {
-  const size_t shards = shards_.size();
+    const IngestPool::Options& pipeline_options, bool broadcast)
+    : shards_(std::move(shards)) {
+  const size_t stride = broadcast ? 1 : shards_.size();
   std::vector<IngestPool::Sink> sinks;
-  sinks.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
+  sinks.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
     RobustL0SamplerIW* shard = &shards_[s];
-    sinks.push_back([shard, s, shards](Span<const Point> chunk,
-                                       uint64_t index_base) {
+    sinks.push_back([shard, residue = s % stride, stride](
+                        Span<const Point> points, Span<const int64_t>,
+                        uint64_t index_base, const int64_t*) {
       // Global-residue partition: this shard owns the points at global
-      // stream positions ≡ s (mod shards), so per-shard input streams —
-      // and decisions — are invariant under re-chunking of the feed.
-      shard->InsertStrided(chunk, StrideStart(s, shards, index_base),
-                           shards, index_base);
+      // stream positions ≡ residue (mod stride), so per-shard input
+      // streams — and decisions — are invariant under re-chunking.
+      shard->InsertStrided(points, StrideStart(residue, stride, index_base),
+                           stride, index_base);
     });
   }
-  pipeline_ = std::make_unique<IngestPool>(std::move(sinks),
-                                           pipeline_options_);
+  pipeline_ = std::make_unique<IngestPool>(std::move(sinks), pipeline_options);
 }
 
 void ShardedSamplerPool::Feed(Span<const Point> points) {
-  pipeline_->Feed(points);
-}
-
-void ShardedSamplerPool::FeedOwned(std::vector<Point> points) {
-  pipeline_->FeedOwned(std::move(points));
+  pipeline_->Feed(IngestPool::Chunk::Owning(
+      std::vector<Point>(points.begin(), points.end())));
 }
 
 void ShardedSamplerPool::FeedBorrowed(Span<const Point> points) {
-  pipeline_->FeedBorrowed(points);
-}
-
-void ShardedSamplerPool::FeedAdaptive(Span<const Point> points) {
-  FeedChunked(points.size(), &chunk_policy_, pipeline_.get(),
-              [&](size_t offset, size_t n) {
-                pipeline_->Feed(points.subspan(offset, n));
-              });
+  pipeline_->Feed({points});
 }
 
 void ShardedSamplerPool::Drain() { pipeline_->Drain(); }
@@ -104,23 +76,6 @@ void ShardedSamplerPool::ConsumeParallel(Span<const Point> points) {
   // The span outlives the call because Drain is the last thing we do.
   FeedBorrowed(points);
   Drain();
-}
-
-void ShardedSamplerPool::ConsumeParallelSpawnJoin(Span<const Point> points) {
-  // Pre-pipeline behaviour: per-call thread spawn/join, chunk-relative
-  // residue classes. Quiesce the pipeline first and reserve this chunk's
-  // index range so both paths share one global index space.
-  pipeline_->Drain();
-  const uint64_t index_base = pipeline_->AdvanceIndexBase(points.size());
-  const size_t shards = shards_.size();
-  std::vector<std::thread> workers;
-  workers.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    workers.emplace_back([this, points, s, shards, index_base] {
-      shards_[s].InsertStrided(points, s, shards, index_base);
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
 }
 
 Result<RobustL0SamplerIW> ShardedSamplerPool::Merged() const {
@@ -182,74 +137,42 @@ Result<ShardedSwSamplerPool> ShardedSwSamplerPool::Create(
 
 ShardedSwSamplerPool::ShardedSwSamplerPool(
     std::vector<RobustL0SamplerSW> shards, int64_t window,
-    const IngestPool::Options& pipeline_options)
+    const IngestPool::Options& pipeline_options, bool broadcast)
     : shards_(std::move(shards)), window_(window),
-      pipeline_options_(pipeline_options),
       mode_(std::make_unique<std::atomic<uint8_t>>(0)),
       reorder_fe_(std::make_unique<ReorderFrontEnd>()),
       journal_mu_(std::make_unique<Mutex>()) {
-  StartPipeline();
-}
-
-template <typename FeedCall>
-void ShardedSwSamplerPool::FeedJournaled(Span<const Point> points,
-                                         Span<const int64_t> stamps,
-                                         FeedCall feed) {
-  if (!journal_ || points.size() == 0) {
-    // Empty chunks are pipeline no-ops; journaling them would only add
-    // mode-ambiguous records with nothing to replay.
-    feed();
-    return;
-  }
-  // The lock spans the counter read AND the enqueue: a second producer
-  // cannot slip a chunk between them, so the journal's record order is
-  // the pipeline's index-base assignment order and recovery can verify
-  // index continuity record by record.
-  MutexLock lock(journal_mu_.get());
-  journal_(points, stamps, pipeline_->points_fed(), nullptr);
-  feed();
-}
-
-void ShardedSwSamplerPool::StartPipeline() {
-  const size_t shards = shards_.size();
+  const size_t stride = broadcast ? 1 : shards_.size();
   std::vector<IngestPool::Sink> sinks;
-  std::vector<IngestPool::StampedSink> stamped_sinks;
-  std::vector<IngestPool::WatermarkSink> watermark_sinks;
-  sinks.reserve(shards);
-  stamped_sinks.reserve(shards);
-  watermark_sinks.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
+  sinks.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
     RobustL0SamplerSW* shard = &shards_[s];
-    sinks.push_back([shard, s, shards](Span<const Point> chunk,
-                                       uint64_t index_base) {
-      // Global-residue partition with stamps derived from the chunk's
-      // index base: point i of the chunk has global position (and stamp)
-      // index_base + i, so the shard's input subsequence — including its
-      // window-expiry schedule — is invariant under re-chunking.
-      shard->InsertStrided(chunk, StrideStart(s, shards, index_base),
-                           shards, index_base);
-    });
-    stamped_sinks.push_back([shard, s, shards](Span<const Point> chunk,
-                                               Span<const int64_t> stamps,
-                                               uint64_t index_base) {
-      // Time-based variant: the stamp array rides the chunk, global
-      // positions still come from the index base — the shard's input
-      // (points, stamps, indices) is invariant under re-chunking.
-      shard->InsertStridedStamped(chunk, stamps,
-                                  StrideStart(s, shards, index_base),
-                                  shards, index_base);
-    });
-    watermark_sinks.push_back([shard](int64_t watermark) {
-      // Event-time advance without points: a lane whose residue class
-      // saw nothing recent still learns how far time has progressed
-      // (scratch state only — snapshots stay byte-identical to the
-      // strict sorted feed).
-      shard->NoteWatermark(watermark);
+    sinks.push_back([shard, residue = s % stride, stride](
+                        Span<const Point> points, Span<const int64_t> stamps,
+                        uint64_t index_base, const int64_t* watermark) {
+      if (watermark != nullptr) {
+        // Event-time advance without points: a lane whose residue class
+        // saw nothing recent still learns how far time has progressed
+        // (scratch state only — snapshots stay byte-identical to the
+        // strict sorted feed).
+        shard->NoteWatermark(*watermark);
+        return;
+      }
+      // Global-residue partition. Point i of the chunk has global
+      // position index_base + i; its stamp is that position in sequence
+      // mode, else the explicit stamp riding the chunk. Either way the
+      // shard's input — window-expiry schedule included — is invariant
+      // under re-chunking.
+      const size_t start = StrideStart(residue, stride, index_base);
+      if (stamps.empty()) {
+        shard->InsertStrided(points, start, stride, index_base);
+      } else {
+        shard->InsertStridedStamped(points, stamps, start, stride,
+                                    index_base);
+      }
     });
   }
-  pipeline_ = std::make_unique<IngestPool>(
-      std::move(sinks), std::move(stamped_sinks), std::move(watermark_sinks),
-      pipeline_options_);
+  pipeline_ = std::make_unique<IngestPool>(std::move(sinks), pipeline_options);
 }
 
 void ShardedSwSamplerPool::LatchMode(StampMode mode) {
@@ -263,45 +186,55 @@ void ShardedSwSamplerPool::LatchMode(StampMode mode) {
   }
 }
 
-void ShardedSwSamplerPool::Feed(Span<const Point> points) {
-  LatchMode(StampMode::kSequence);
-  FeedJournaled(points, Span<const int64_t>(),
-                [&] { pipeline_->Feed(points); });
+void ShardedSwSamplerPool::FeedChunk(StampMode mode, IngestPool::Chunk chunk,
+                                     const int64_t* watermark) {
+  LatchMode(mode);
+  // Time-mode chunks carry one stamp per point, sequence chunks none.
+  RL0_CHECK(chunk.stamps.size() ==
+            (mode == StampMode::kTime ? chunk.points.size() : 0));
+  const auto enqueue = [&] {
+    if (watermark != nullptr) {
+      pipeline_->FeedWatermark(*watermark);
+    } else {
+      pipeline_->Feed(std::move(chunk));
+    }
+  };
+  if (!journal_ || (watermark == nullptr && chunk.points.empty())) {
+    // Empty chunks are pipeline no-ops; journaling them would only add
+    // mode-ambiguous records with nothing to replay.
+    enqueue();
+    return;
+  }
+  // The lock spans the counter read AND the enqueue: a second producer
+  // cannot slip a chunk between them, so the journal's record order is
+  // the pipeline's index-base assignment order and recovery can verify
+  // index continuity record by record.
+  MutexLock lock(journal_mu_.get());
+  journal_(chunk.points, chunk.stamps, pipeline_->points_fed(), watermark);
+  enqueue();
 }
 
-void ShardedSwSamplerPool::FeedOwned(std::vector<Point> points) {
-  LatchMode(StampMode::kSequence);
-  // The journal span is consumed before the move below runs.
-  FeedJournaled(points, Span<const int64_t>(),
-                [&] { pipeline_->FeedOwned(std::move(points)); });
+void ShardedSwSamplerPool::Feed(Span<const Point> points) {
+  FeedChunk(StampMode::kSequence,
+            IngestPool::Chunk::Owning(
+                std::vector<Point>(points.begin(), points.end())));
 }
 
 void ShardedSwSamplerPool::FeedBorrowed(Span<const Point> points) {
-  LatchMode(StampMode::kSequence);
-  FeedJournaled(points, Span<const int64_t>(),
-                [&] { pipeline_->FeedBorrowed(points); });
+  FeedChunk(StampMode::kSequence, {points});
 }
 
 void ShardedSwSamplerPool::FeedStamped(Span<const Point> points,
                                        Span<const int64_t> stamps) {
-  LatchMode(StampMode::kTime);
-  FeedJournaled(points, stamps,
-                [&] { pipeline_->FeedStamped(points, stamps); });
-}
-
-void ShardedSwSamplerPool::FeedOwnedStamped(std::vector<Point> points,
-                                            std::vector<int64_t> stamps) {
-  LatchMode(StampMode::kTime);
-  FeedJournaled(points, stamps, [&] {
-    pipeline_->FeedOwnedStamped(std::move(points), std::move(stamps));
-  });
+  FeedChunk(StampMode::kTime,
+            IngestPool::Chunk::Owning(
+                std::vector<Point>(points.begin(), points.end()),
+                std::vector<int64_t>(stamps.begin(), stamps.end())));
 }
 
 void ShardedSwSamplerPool::FeedBorrowedStamped(Span<const Point> points,
                                                Span<const int64_t> stamps) {
-  LatchMode(StampMode::kTime);
-  FeedJournaled(points, stamps,
-                [&] { pipeline_->FeedBorrowedStamped(points, stamps); });
+  FeedChunk(StampMode::kTime, {points, stamps});
 }
 
 void ShardedSwSamplerPool::FeedStampedLate(Span<const Point> points,
@@ -337,9 +270,8 @@ void ShardedSwSamplerPool::PumpReorderLocked(ReorderFrontEnd* fe) {
     // the *released* prefix is journaled — points still buffered in the
     // reorder heap at a crash were never durable (the recovery contract
     // in core/checkpoint.h).
-    FeedJournaled(points, stamps, [&] {
-      pipeline_->FeedOwnedStamped(std::move(points), std::move(stamps));
-    });
+    FeedChunk(StampMode::kTime, IngestPool::Chunk::Owning(std::move(points),
+                                                          std::move(stamps)));
   }
   if (fe->stage->has_watermark()) {
     const int64_t watermark = fe->stage->watermark();
@@ -347,14 +279,7 @@ void ShardedSwSamplerPool::PumpReorderLocked(ReorderFrontEnd* fe) {
       // After the release above: released stamps are below the new
       // watermark, and every future release is at or above it, so the
       // pipeline's stamp monotonicity check holds on both sides.
-      if (journal_) {
-        MutexLock lock(journal_mu_.get());
-        journal_(Span<const Point>(), Span<const int64_t>(),
-                 pipeline_->points_fed(), &watermark);
-        pipeline_->FeedWatermark(watermark);
-      } else {
-        pipeline_->FeedWatermark(watermark);
-      }
+      FeedChunk(StampMode::kTime, {}, &watermark);
       fe->watermark_sent = true;
       fe->last_watermark = watermark;
     }
@@ -384,23 +309,6 @@ ShardedSwSamplerPool::TakeLateSideChannel() {
   MutexLock lock(&fe->mu);
   if (!fe->stage) return {};
   return fe->stage->TakeLate();
-}
-
-void ShardedSwSamplerPool::FeedAdaptive(Span<const Point> points) {
-  FeedChunked(points.size(), &chunk_policy_, pipeline_.get(),
-              [&](size_t offset, size_t n) {
-                Feed(points.subspan(offset, n));
-              });
-}
-
-void ShardedSwSamplerPool::FeedStampedAdaptive(Span<const Point> points,
-                                               Span<const int64_t> stamps) {
-  RL0_CHECK(stamps.size() == points.size());
-  FeedChunked(points.size(), &chunk_policy_, pipeline_.get(),
-              [&](size_t offset, size_t n) {
-                FeedStamped(points.subspan(offset, n),
-                            stamps.subspan(offset, n));
-              });
 }
 
 void ShardedSwSamplerPool::Drain() { pipeline_->Drain(); }

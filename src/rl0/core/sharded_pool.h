@@ -17,8 +17,8 @@
 // into Feed chunks. A later Merged() resolves groups judged by several
 // shards deterministically by true arrival order.
 //
-// Concurrency contract: Feed/FeedOwned/FeedBorrowed are safe from any
-// number of threads; each shard is only ever touched by its own worker.
+// Concurrency contract: Feed/FeedBorrowed are safe from any number of
+// threads; each shard is only ever touched by its own worker.
 // Drain() is the barrier: after it returns (with no concurrent feeders),
 // Merged(), shard() and points_processed() read quiescent state.
 // MergedQuiesced() is the exception that needs no barrier — it pauses the
@@ -32,12 +32,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include <optional>
-
-#include "rl0/core/chunk_policy.h"
 #include "rl0/core/ingest_pool.h"
 #include "rl0/core/iw_sampler.h"
 #include "rl0/core/reorder_buffer.h"
@@ -53,8 +51,8 @@ namespace rl0 {
 /// worker pipeline.
 class ShardedSamplerPool {
  public:
-  /// Creates `shards` samplers with identical options and starts the
-  /// persistent worker threads (idle until fed). Requires shards ≥ 1.
+  /// Creates `shards` samplers with identical options and the persistent
+  /// pipeline (its workers start on the first feed). Requires shards ≥ 1.
   static Result<ShardedSamplerPool> Create(
       const SamplerOptions& options, size_t shards,
       const IngestPool::Options& pipeline_options = IngestPool::Options());
@@ -73,39 +71,18 @@ class ShardedSamplerPool {
   /// (std::vector<Point> converts implicitly.)
   void Feed(Span<const Point> points);
 
-  /// As Feed but adopts the vector — no copy.
-  void FeedOwned(std::vector<Point> points);
-
   /// As Feed but zero-copy: `points` must stay valid until the next
   /// Drain() returns.
   void FeedBorrowed(Span<const Point> points);
-
-  /// Chops `points` into chunks sized by the shared adaptive policy
-  /// (core/chunk_policy.h): queue depth grows the chunks, lane
-  /// starvation shrinks them. Chunk boundaries never affect shard state
-  /// (the determinism contract), so this is pure throughput tuning.
-  /// Copies each chunk; single producer per policy (see chunk_policy()).
-  void FeedAdaptive(Span<const Point> points);
-
-  /// The adaptive chunk-sizing policy used by FeedAdaptive (mutable: the
-  /// producer may reconfigure or share it across feeds).
-  AdaptiveChunkPolicy& chunk_policy() { return chunk_policy_; }
 
   /// Blocks until everything fed before this call is consumed by every
   /// shard. Safe from any thread, also concurrently with feeding.
   void Drain();
 
-  /// Feeds `points` and drains: the pipelined equivalent of the original
-  /// blocking call. Deterministic: the global-residue partition does not
-  /// depend on thread scheduling or chunk boundaries.
+  /// Feeds `points` and drains (the blocking convenience call).
+  /// Deterministic: the global-residue partition does not depend on
+  /// thread scheduling or chunk boundaries.
   void ConsumeParallel(Span<const Point> points);
-
-  /// The pre-pipeline implementation: spawns one thread per shard, feeds
-  /// the chunk with chunk-relative striding, joins all workers before
-  /// returning. Kept as the bench_pipeline baseline and for differential
-  /// testing; shares the pipeline's global index space, so the two paths
-  /// may be interleaved (ConsumeParallelSpawnJoin drains first).
-  void ConsumeParallelSpawnJoin(Span<const Point> points);
 
   /// A merged sampler over the union of all shards' streams (copy of
   /// shard 0 absorbing the rest; see AbsorbFrom's guarantee). Requires a
@@ -139,20 +116,23 @@ class ShardedSamplerPool {
   }
 
  private:
-  ShardedSamplerPool(std::vector<RobustL0SamplerIW> shards,
-                     const IngestPool::Options& pipeline_options);
+  // The F0 estimator runs its differently seeded copies as broadcast
+  // lanes of a pool.
+  friend class F0EstimatorIW;
 
-  /// Starts the persistent workers. Called from the constructor — the
-  /// pipeline exists before the pool is visible to any other thread, so
-  /// concurrent Feeds never race on its creation. The sinks capture
-  /// addresses of shards_ elements: stable across moves of the pool (the
-  /// vector's heap buffer moves with it) because shards_ never resizes.
-  void StartPipeline();
+  /// Builds the pipeline around pre-built samplers. `broadcast` makes
+  /// every lane consume the whole stream (stride 1) instead of its
+  /// residue class. The pipeline exists before the pool is visible to any
+  /// other thread, so concurrent Feeds never race on its creation. The
+  /// sinks capture addresses of shards_ elements: stable across moves of
+  /// the pool (the vector's heap buffer moves with it) because shards_
+  /// never resizes.
+  ShardedSamplerPool(std::vector<RobustL0SamplerIW> shards,
+                     const IngestPool::Options& pipeline_options,
+                     bool broadcast = false);
 
   std::vector<RobustL0SamplerIW> shards_;
-  IngestPool::Options pipeline_options_;
   std::unique_ptr<IngestPool> pipeline_;
-  AdaptiveChunkPolicy chunk_policy_;
 };
 
 /// The windowed mode of the sharded pool: S sliding-window hierarchies
@@ -162,10 +142,10 @@ class ShardedSamplerPool {
 /// positions ≡ s (mod S). The pool supports both of the paper's window
 /// models, chosen by which feed API is used first (modes cannot mix):
 ///
-///   * sequence-based (Feed/FeedOwned/FeedBorrowed) — every point is
-///     stamped with its global position; the stamp of chunk[0] is
-///     carried by the chunk's index base;
-///   * time-based (FeedStamped/FeedOwnedStamped/FeedBorrowedStamped) —
+///   * sequence-based (Feed/FeedBorrowed) — every point is stamped with
+///     its global position; the stamp of chunk[0] is carried by the
+///     chunk's index base;
+///   * time-based (FeedStamped/FeedBorrowedStamped/FeedStampedLate) —
 ///     every point carries an explicit stamp from a parallel stamp
 ///     array that rides the chunk through the pipeline; stamps must be
 ///     non-decreasing in feed order (a point is live at query time
@@ -185,8 +165,9 @@ class ShardedSamplerPool {
 /// contract (Feed*/Drain/QuiescedRun) matches ShardedSamplerPool.
 class ShardedSwSamplerPool {
  public:
-  /// Creates `shards` identically-seeded windowed samplers and starts the
-  /// persistent worker threads (idle until fed). Requires shards ≥ 1.
+  /// Creates `shards` identically-seeded windowed samplers and the
+  /// persistent pipeline (its workers start on the first feed). Requires
+  /// shards ≥ 1.
   static Result<ShardedSwSamplerPool> Create(
       const SamplerOptions& options, int64_t window, size_t shards,
       const IngestPool::Options& pipeline_options = IngestPool::Options());
@@ -202,8 +183,6 @@ class ShardedSwSamplerPool {
   /// soon as the chunk is queued on every shard — Drain() before querying.
   /// Sequence mode: stamps are global stream positions.
   void Feed(Span<const Point> points);
-  /// As Feed but adopts the vector — no copy.
-  void FeedOwned(std::vector<Point> points);
   /// As Feed but zero-copy: `points` must stay valid until the next
   /// Drain() returns.
   void FeedBorrowed(Span<const Point> points);
@@ -216,9 +195,6 @@ class ShardedSwSamplerPool {
   /// through RobustL0SamplerSW::InsertStamped, so per-shard state —
   /// expiry schedule included — is invariant under re-chunking.
   void FeedStamped(Span<const Point> points, Span<const int64_t> stamps);
-  /// As FeedStamped but adopts both vectors — no copy.
-  void FeedOwnedStamped(std::vector<Point> points,
-                        std::vector<int64_t> stamps);
   /// As FeedStamped but zero-copy: both arrays must stay valid until the
   /// next Drain() returns.
   void FeedBorrowedStamped(Span<const Point> points,
@@ -262,15 +238,6 @@ class ShardedSwSamplerPool {
   /// Drains the internally buffered side-channel deliveries (kSideChannel
   /// with no sink set), in arrival order.
   std::vector<std::pair<Point, int64_t>> TakeLateSideChannel();
-
-  /// Adaptive-chunked feeding (see ShardedSamplerPool::FeedAdaptive and
-  /// core/chunk_policy.h); sequence mode.
-  void FeedAdaptive(Span<const Point> points);
-  /// Adaptive-chunked stamped feeding (time mode).
-  void FeedStampedAdaptive(Span<const Point> points,
-                           Span<const int64_t> stamps);
-  /// The adaptive chunk-sizing policy used by the adaptive feeds.
-  AdaptiveChunkPolicy& chunk_policy() { return chunk_policy_; }
 
   /// Blocks until everything fed before this call is consumed by every
   /// shard. Safe from any thread, also concurrently with feeding.
@@ -353,11 +320,10 @@ class ShardedSwSamplerPool {
   /// The reporting order equals the pipeline's index-base assignment
   /// order (both happen under one internal lock), so the journal is a
   /// faithful prefix-closed record of the fed stream. Sequence-mode
-  /// chunks arrive with an empty `stamps` span. The sink runs on the
-  /// feeding thread — keep it cheap and do not call back into the pool.
-  using JournalSink = std::function<void(
-      Span<const Point> points, Span<const int64_t> stamps,
-      uint64_t index_base, const int64_t* watermark)>;
+  /// chunks arrive with an empty `stamps` span — the lane sinks' shape.
+  /// The sink runs on the feeding thread — keep it cheap and do not call
+  /// back into the pool.
+  using JournalSink = IngestPool::Sink;
 
   /// Installs (or clears, with nullptr) the journal sink. Call before
   /// feeding or at a quiescent point — the installation itself is not
@@ -376,15 +342,20 @@ class ShardedSwSamplerPool {
   friend Result<ShardedSwSamplerPool> RecoverPool(
       const std::string& checkpoint, const std::string& journal,
       const IngestPool::Options& pipeline_options);
+  // The sliding-window F0 estimator runs its differently seeded copies as
+  // broadcast lanes of a pool.
+  friend class F0EstimatorSW;
 
   /// Which stamp semantics the pool has been fed with. Latched by the
   /// first feed; mixing modes is a programming error (CHECK-fails).
   enum class StampMode : uint8_t { kUnset = 0, kSequence = 1, kTime = 2 };
 
+  /// Builds the pipeline around pre-built samplers, one lane sink per
+  /// shard; `broadcast` as in ShardedSamplerPool's constructor.
   ShardedSwSamplerPool(std::vector<RobustL0SamplerSW> shards, int64_t window,
-                       const IngestPool::Options& pipeline_options);
+                       const IngestPool::Options& pipeline_options,
+                       bool broadcast = false);
 
-  void StartPipeline();
   /// Latches the pool's stamp mode (atomic; safe from concurrent
   /// producers) and CHECK-fails on a mode mix.
   void LatchMode(StampMode mode);
@@ -400,21 +371,19 @@ class ShardedSwSamplerPool {
   /// `now_of(shard)` unified to the global deepest level, then dedupes.
   template <typename NowOf>
   std::vector<SampleItem> BuildUnifiedPool(NowOf now_of, Xoshiro256pp* rng);
-  /// Journal-then-feed: reports (points, stamps) to the sink and runs
-  /// `feed` (which must enqueue exactly points.size() points) with
-  /// journal_mu_ held across both, so journal order equals the pipeline's
-  /// index-base assignment order. With no sink, just runs `feed`.
-  template <typename FeedCall>
-  void FeedJournaled(Span<const Point> points, Span<const int64_t> stamps,
-                     FeedCall feed);
+  /// The one feed path under every public feed: latches `mode`, then
+  /// reports the chunk — or, with `watermark` non-null, the watermark —
+  /// to the journal sink and enqueues it, with journal_mu_ held across
+  /// both so journal order equals the pipeline's index-base assignment
+  /// order. With no sink, just enqueues.
+  void FeedChunk(StampMode mode, IngestPool::Chunk chunk,
+                 const int64_t* watermark = nullptr);
 
   std::vector<RobustL0SamplerSW> shards_;
   int64_t window_;
-  IngestPool::Options pipeline_options_;
   std::unique_ptr<IngestPool> pipeline_;
   /// Heap-allocated so the pool stays movable.
   std::unique_ptr<std::atomic<uint8_t>> mode_;
-  AdaptiveChunkPolicy chunk_policy_;
   /// Bounded-lateness front end of FeedStampedLate: the reorder stage
   /// and watermark memory grouped with the mutex that serializes the
   /// late path — the Offer → release → watermark sequence must hit the

@@ -204,7 +204,8 @@ class SwFixedRateSampler {
   /// level ℓ+1 (accept / reject / drop, per Definition 2.2); keeps the
   /// remaining groups at level ℓ. Returns false (and promotes nothing) if
   /// no accepted representative is sampled at level ℓ+1 — the caller must
-  /// abandon the cascade (see DESIGN.md §3).
+  /// abandon the cascade (see "Abandoned cascades" in
+  /// docs/ARCHITECTURE.md).
   bool SplitPromote(std::vector<GroupRecord>* promoted);
 
   /// As SplitPromote, but moves the promoted groups arena-internally into

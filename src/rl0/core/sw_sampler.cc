@@ -296,8 +296,9 @@ void RobustL0SamplerSW::Cascade(size_t start_level) {
     // PointStore), and their reservoir coin streams survive the split.
     if (!levels_[j]->PromoteInto(levels_[j + 1].get())) {
       // No accepted representative survives the next rate: nothing can be
-      // promoted this round (DESIGN.md §3). The cap is restored on a later
-      // arrival with fresh representatives.
+      // promoted this round (docs/ARCHITECTURE.md, "Abandoned
+      // cascades"). The cap is restored on a later arrival with fresh
+      // representatives.
       ++stuck_split_count_;
       return;
     }

@@ -211,7 +211,7 @@ class RobustL0SamplerSW {
   /// Number of Algorithm-3 "error" events (cascade past the top level).
   uint64_t error_count() const { return error_count_; }
   /// Number of abandoned cascades (no promotable representative; see
-  /// DESIGN.md §3 resolution 1).
+  /// "Abandoned cascades" in docs/ARCHITECTURE.md).
   uint64_t stuck_split_count() const { return stuck_split_count_; }
   /// The accept cap κ0·k·log m in force.
   size_t accept_cap() const { return accept_cap_; }

@@ -4,8 +4,9 @@
 // points in (0,1)^d). Yacht and Seeds in the paper are UCI datasets which
 // are not redistributable here; YachtLike/SeedsLike are synthetic stand-ins
 // with the same cardinality, dimension and qualitative structure (see
-// DESIGN.md §3: after the rescale-to-unit-min-distance step the sampler
-// only sees the point geometry, so the pipeline is exercised identically).
+// docs/BENCHMARKS.md, "Paper-figure reproductions": after the
+// rescale-to-unit-min-distance step the sampler only sees the point
+// geometry, so the pipeline is exercised identically).
 //
 // The well-separated / sparse / overlapping generators back the unit and
 // property tests for Sections 2–4.

@@ -2,6 +2,7 @@
 // window): accuracy against exact group counts, option validation, and
 // median boosting behaviour.
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -307,57 +308,6 @@ TEST(F0SwTest, SlidesWithTheWindow) {
   EXPECT_GT(few, 1.0);
 }
 
-TEST(F0SwTest, SerialInsertsComposeWithPipelineFeed) {
-  // Sequence-stamped serial inserts and pipelined Feeds share one global
-  // index space (serial inserts advance the pipeline's index base), so
-  // any interleaving — with a Drain between mode switches — must leave
-  // the estimator bit-identical to a pure serial run.
-  F0SwOptions opts;
-  opts.sampler = BaseOptions(1, 1.0, 16);
-  opts.window = 128;
-  opts.copies = 4;
-  std::vector<Point> points;
-  for (int i = 0; i < 300; ++i) points.push_back(Isolated(i % 60));
-
-  auto serial = F0EstimatorSW::Create(opts).value();
-  for (const Point& p : points) serial.Insert(p);
-
-  auto mixed = F0EstimatorSW::Create(opts).value();
-  const Span<const Point> all(points);
-  for (int i = 0; i < 50; ++i) mixed.Insert(points[i]);
-  mixed.Feed(all.subspan(50, 150));
-  mixed.Drain();
-  mixed.Insert(points[200]);
-  mixed.FeedOwned(std::vector<Point>(points.begin() + 201, points.end()));
-  mixed.Drain();
-
-  EXPECT_DOUBLE_EQ(mixed.EstimateLatest(), serial.EstimateLatest());
-  // Bit-for-bit: every copy's per-level group state matches the serial
-  // run (stamps and stream indices included — a stamp collision between
-  // the modes would show here even where the FM median absorbs it).
-  for (size_t c = 0; c < mixed.copies(); ++c) {
-    const RobustL0SamplerSW& a = mixed.copy_sampler(c);
-    const RobustL0SamplerSW& b = serial.copy_sampler(c);
-    ASSERT_EQ(a.points_processed(), b.points_processed());
-    ASSERT_EQ(a.latest_stamp(), b.latest_stamp());
-    ASSERT_EQ(a.num_levels(), b.num_levels());
-    for (size_t l = 0; l < a.num_levels(); ++l) {
-      std::vector<GroupRecord> ga, gb;
-      a.level(l).SnapshotGroups(&ga);
-      b.level(l).SnapshotGroups(&gb);
-      ASSERT_EQ(ga.size(), gb.size()) << "copy " << c << " level " << l;
-      for (size_t i = 0; i < ga.size(); ++i) {
-        ASSERT_EQ(ga[i].id, gb[i].id);
-        ASSERT_EQ(ga[i].latest_stamp, gb[i].latest_stamp);
-        ASSERT_EQ(ga[i].latest_index, gb[i].latest_index);
-        ASSERT_EQ(ga[i].rep_index, gb[i].rep_index);
-        ASSERT_EQ(ga[i].rep, gb[i].rep);
-        ASSERT_EQ(ga[i].latest, gb[i].latest);
-      }
-    }
-  }
-}
-
 TEST(F0SwTest, StampedFeedMatchesSerialExplicitStamps) {
   // The PR 3 limitation this pins the fix for: the first Feed of a
   // time-based estimator (explicit stamps diverged from arrival indices)
@@ -392,81 +342,109 @@ TEST(F0SwTest, StampedFeedMatchesSerialExplicitStamps) {
   fed.Drain();
 
   EXPECT_DOUBLE_EQ(fed.EstimateLatest(), serial.EstimateLatest());
-  for (size_t c = 0; c < fed.copies(); ++c) {
-    const RobustL0SamplerSW& a = fed.copy_sampler(c);
-    const RobustL0SamplerSW& b = serial.copy_sampler(c);
-    ASSERT_EQ(a.points_processed(), b.points_processed());
-    ASSERT_EQ(a.latest_stamp(), b.latest_stamp());
-    for (size_t l = 0; l < a.num_levels(); ++l) {
-      std::vector<GroupRecord> ga, gb;
-      a.level(l).SnapshotGroups(&ga);
-      b.level(l).SnapshotGroups(&gb);
-      ASSERT_EQ(ga.size(), gb.size()) << "copy " << c << " level " << l;
-      for (size_t i = 0; i < ga.size(); ++i) {
-        ASSERT_EQ(ga[i].id, gb[i].id);
-        ASSERT_EQ(ga[i].latest_stamp, gb[i].latest_stamp);
-        ASSERT_EQ(ga[i].latest_index, gb[i].latest_index);
-        ASSERT_EQ(ga[i].rep, gb[i].rep);
-        ASSERT_EQ(ga[i].latest, gb[i].latest);
-      }
-    }
-  }
+  ExpectSameSwCopies(fed, serial);
 }
 
-TEST(F0SwTest, SerialExplicitStampsComposeWithStampedFeed) {
-  // Mixed serial Insert(p, stamp) and FeedStamped ingestion (with a
-  // Drain between mode switches) keeps one monotone stamp sequence —
-  // serial inserts raise the pipeline's stamp watermark — and stays
-  // bit-identical to the pure serial run.
-  F0SwOptions opts;
-  opts.sampler = BaseOptions(1, 1.0, 18);
-  opts.window = 256;
-  opts.copies = 3;
-  std::vector<Point> points;
-  std::vector<int64_t> stamps;
-  int64_t t = 100;  // non-zero start: stamps never equal arrival indices
-  for (int i = 0; i < 240; ++i) {
-    points.push_back(Isolated(i % 40));
-    t += 2 + (i % 5);
-    stamps.push_back(t);
+/// Threads of this process (Linux /proc), or 0 where unavailable.
+size_t ThreadCount() {
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  size_t threads = 0;
+  while (const dirent* entry = readdir(dir)) {
+    if (entry->d_name[0] != '.') ++threads;
   }
+  closedir(dir);
+  return threads;
+}
 
-  auto serial = F0EstimatorSW::Create(opts).value();
-  for (size_t i = 0; i < points.size(); ++i) {
-    serial.Insert(points[i], stamps[i]);
-  }
+TEST(F0Test, SerialOnlyEstimatorsSpawnNoThreads) {
+  const size_t before = ThreadCount();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/task";
+  const std::vector<Point> points = {Isolated(0), Isolated(1), Isolated(2)};
+  F0Options iw;
+  iw.sampler = BaseOptions(1, 1.0, 21);
+  iw.copies = 3;
+  F0SwOptions sw;
+  sw.sampler = BaseOptions(1, 1.0, 22);
+  sw.window = 64;
+  sw.copies = 3;
 
-  auto mixed = F0EstimatorSW::Create(opts).value();
-  const Span<const Point> all(points);
-  const Span<const int64_t> all_stamps(stamps);
-  for (size_t i = 0; i < 60; ++i) mixed.Insert(points[i], stamps[i]);
-  mixed.FeedStamped(all.subspan(60, 100), all_stamps.subspan(60, 100));
-  mixed.Drain();
-  EXPECT_EQ(mixed.copy_sampler(0).latest_stamp(), stamps[159]);
-  mixed.Insert(points[160], stamps[160]);
-  mixed.FeedOwnedStamped(
-      std::vector<Point>(points.begin() + 161, points.end()),
-      std::vector<int64_t>(stamps.begin() + 161, stamps.end()));
-  mixed.Drain();
+  auto serial_iw = F0EstimatorIW::Create(iw).value();
+  serial_iw.InsertBatch(points);
+  serial_iw.Drain();
+  auto serial_sw = F0EstimatorSW::Create(sw).value();
+  for (const Point& p : points) serial_sw.Insert(p);
+  serial_sw.Drain();
+  EXPECT_EQ(ThreadCount(), before);
+  EXPECT_DOUBLE_EQ(serial_iw.Estimate(), 3.0);
+  EXPECT_GT(serial_sw.EstimateLatest(), 0.0);
 
-  EXPECT_DOUBLE_EQ(mixed.EstimateLatest(), serial.EstimateLatest());
-  for (size_t c = 0; c < mixed.copies(); ++c) {
-    const RobustL0SamplerSW& a = mixed.copy_sampler(c);
-    const RobustL0SamplerSW& b = serial.copy_sampler(c);
-    ASSERT_EQ(a.points_processed(), b.points_processed());
-    ASSERT_EQ(a.latest_stamp(), b.latest_stamp());
-    for (size_t l = 0; l < a.num_levels(); ++l) {
-      std::vector<GroupRecord> ga, gb;
-      a.level(l).SnapshotGroups(&ga);
-      b.level(l).SnapshotGroups(&gb);
-      ASSERT_EQ(ga.size(), gb.size()) << "copy " << c << " level " << l;
-      for (size_t i = 0; i < ga.size(); ++i) {
-        ASSERT_EQ(ga[i].id, gb[i].id);
-        ASSERT_EQ(ga[i].latest_stamp, gb[i].latest_stamp);
-        ASSERT_EQ(ga[i].latest_index, gb[i].latest_index);
-      }
-    }
-  }
+  // The count does see lane workers: a fed estimator starts one per copy.
+  auto fed = F0EstimatorIW::Create(iw).value();
+  fed.Feed(points);
+  fed.Drain();
+  EXPECT_EQ(ThreadCount(), before + 3);
+}
+
+TEST(F0DeathTest, MixingSerialAndPipelinedIngestionFails) {
+  // One ingestion mode per estimator: serial Insert*/InsertBatch or
+  // pipelined Feed*, whichever comes first.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const std::vector<Point> points = {Isolated(0), Isolated(1)};
+  F0Options iw;
+  iw.sampler = BaseOptions(1, 1.0, 19);
+  iw.copies = 3;
+  F0SwOptions sw;
+  sw.sampler = BaseOptions(1, 1.0, 20);
+  sw.window = 64;
+  sw.copies = 3;
+  const std::vector<int64_t> stamps = {5, 6};
+
+  EXPECT_DEATH(
+      {
+        auto est = F0EstimatorIW::Create(iw).value();
+        est.InsertBatch(points);
+        est.Feed(points);
+      },
+      "RL0_CHECK failed");
+  EXPECT_DEATH(
+      {
+        auto est = F0EstimatorIW::Create(iw).value();
+        est.Feed(points);
+        est.Drain();
+        est.Insert(points[0]);
+      },
+      "RL0_CHECK failed");
+  EXPECT_DEATH(
+      {
+        auto est = F0EstimatorSW::Create(sw).value();
+        est.Insert(points[0]);
+        est.Feed(points);
+      },
+      "RL0_CHECK failed");
+  EXPECT_DEATH(
+      {
+        auto est = F0EstimatorSW::Create(sw).value();
+        est.Insert(points[0], 1);
+        est.FeedStamped(points, stamps);
+      },
+      "RL0_CHECK failed");
+  EXPECT_DEATH(
+      {
+        auto est = F0EstimatorSW::Create(sw).value();
+        est.FeedStamped(points, stamps);
+        est.Drain();
+        est.Insert(points[0], 7);
+      },
+      "RL0_CHECK failed");
+  // The two pipelined families cannot mix either.
+  EXPECT_DEATH(
+      {
+        auto est = F0EstimatorSW::Create(sw).value();
+        est.Feed(points);
+        est.FeedStamped(points, stamps);
+      },
+      "RL0_CHECK failed");
 }
 
 // ------------------------------------------ pipelined == serial, bit-exact

@@ -227,7 +227,8 @@ TEST(IwSamplerTest, DeterministicGivenSeeds) {
 TEST(IwSamplerTest, ReplayEquivalence) {
   // Feeding only the first point of each group (in order) yields exactly
   // the same accept/reject state as feeding the full stream — the
-  // optimization the distribution benchmarks rely on (DESIGN.md §3).
+  // optimization the distribution benchmarks rely on (docs/BENCHMARKS.md,
+  // "Paper-figure reproductions").
   const NoisyDataset data = SmallClusters(150, 6, 1.0, 16);
   const RepresentativeStream reps = ExtractRepresentatives(data);
 

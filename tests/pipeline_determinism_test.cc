@@ -263,113 +263,29 @@ TEST(PipelineDeterminismTest, PerShardStateInvariantUnderRechunking) {
   }
 }
 
-TEST(PipelineDeterminismTest, PipelineAgreesWithSpawnJoinMergedAtRateOne) {
-  // The legacy per-call spawn/join walk partitions by chunk-relative
-  // residue, the pipeline by global residue — different per-shard
-  // streams, same merged decisions at rate 1.
-  const Workload w = Workloads()[0];
-  SamplerOptions opts = BaseOptions(w.data, 503);
-  opts.accept_cap = 1 << 20;
-
-  auto spawn_join = ShardedSamplerPool::Create(opts, 4).value();
-  auto pipelined = ShardedSamplerPool::Create(opts, 4).value();
-  const Span<const Point> all(w.data.points);
-  const size_t chunk = 211;
-  for (size_t offset = 0; offset < all.size(); offset += chunk) {
-    spawn_join.ConsumeParallelSpawnJoin(all.subspan(offset, chunk));
-    pipelined.Feed(all.subspan(offset, chunk));
-  }
-  pipelined.Drain();
-  EXPECT_EQ(spawn_join.points_processed(), pipelined.points_processed());
-  ExpectSameItems(pipelined.Merged().value().AcceptedRepresentatives(),
-                  spawn_join.Merged().value().AcceptedRepresentatives());
-}
-
 TEST(PipelineDeterminismTest, FeedVariantsAgree) {
-  // Copying Feed, zero-copy FeedBorrowed and adopting FeedOwned must
-  // produce identical shard states.
+  // Copying Feed and zero-copy FeedBorrowed must produce identical shard
+  // states.
   const Workload w = Workloads()[1];
   const SamplerOptions opts = BaseOptions(w.data, 504);
   const size_t shards = 2;
 
   auto copied = ShardedSamplerPool::Create(opts, shards).value();
   auto borrowed = ShardedSamplerPool::Create(opts, shards).value();
-  auto owned = ShardedSamplerPool::Create(opts, shards).value();
   const Span<const Point> all(w.data.points);
   const size_t chunk = 101;
   for (size_t offset = 0; offset < all.size(); offset += chunk) {
     const Span<const Point> piece = all.subspan(offset, chunk);
     copied.Feed(piece);
     borrowed.FeedBorrowed(piece);
-    owned.FeedOwned(std::vector<Point>(piece.begin(), piece.end()));
   }
   copied.Drain();
   borrowed.Drain();
-  owned.Drain();
   for (size_t s = 0; s < shards; ++s) {
     SCOPED_TRACE(s);
     ExpectSameItems(borrowed.shard(s).AcceptedRepresentatives(),
                     copied.shard(s).AcceptedRepresentatives());
-    ExpectSameItems(owned.shard(s).AcceptedRepresentatives(),
-                    copied.shard(s).AcceptedRepresentatives());
   }
-}
-
-TEST(PipelineDeterminismTest, AdaptiveChunkPolicyGrowsShrinksAndClamps) {
-  AdaptiveChunkOptions opts;
-  opts.min_chunk = 64;
-  opts.max_chunk = 1024;
-  opts.initial_chunk = 256;
-  AdaptiveChunkPolicy policy(opts);
-  EXPECT_EQ(policy.chunk(), 256u);
-  // Backlog at/above the threshold doubles, up to the cap.
-  policy.Observe(/*max_queue_depth=*/2, /*queue_capacity=*/4);
-  EXPECT_EQ(policy.chunk(), 512u);
-  policy.Observe(4, 4);
-  EXPECT_EQ(policy.chunk(), 1024u);
-  policy.Observe(4, 4);
-  EXPECT_EQ(policy.chunk(), 1024u);  // clamped at max
-  // Hysteresis band: shallow-but-nonempty queues leave the chunk alone.
-  policy.Observe(1, 4);
-  EXPECT_EQ(policy.chunk(), 1024u);
-  // Starvation halves, down to the floor.
-  policy.Observe(0, 4);
-  EXPECT_EQ(policy.chunk(), 512u);
-  for (int i = 0; i < 10; ++i) policy.Observe(0, 4);
-  EXPECT_EQ(policy.chunk(), 64u);  // clamped at min
-  // Degenerate options are sanitized rather than trusted.
-  AdaptiveChunkOptions bad;
-  bad.min_chunk = 0;
-  bad.max_chunk = 0;
-  bad.initial_chunk = 7;
-  AdaptiveChunkPolicy sane(bad);
-  EXPECT_GE(sane.chunk(), 1u);
-  sane.Observe(0, 0);  // zero capacity must not divide by zero
-}
-
-TEST(PipelineDeterminismTest, AdaptiveFeedMatchesPointwiseAtRateOne) {
-  // FeedAdaptive's chunk boundaries depend on live queue depths, so this
-  // is the determinism contract applied to the policy: whatever chunking
-  // it produces, merged state at rate 1 equals the pointwise sampler.
-  const Workload w = Workloads()[0];
-  SamplerOptions opts = BaseOptions(w.data, 507);
-  opts.accept_cap = 1 << 20;
-  auto pointwise = RobustL0SamplerIW::Create(opts).value();
-  for (const Point& p : w.data.points) pointwise.Insert(p);
-
-  auto pool = ShardedSamplerPool::Create(opts, 3).value();
-  AdaptiveChunkOptions chunk_opts;
-  chunk_opts.min_chunk = 32;
-  chunk_opts.initial_chunk = 128;
-  pool.chunk_policy() = AdaptiveChunkPolicy(chunk_opts);
-  pool.FeedAdaptive(w.data.points);
-  pool.Drain();
-  EXPECT_EQ(pool.points_processed(), w.data.points.size());
-  auto merged = pool.Merged().value();
-  ExpectSameItems(merged.AcceptedRepresentatives(),
-                  pointwise.AcceptedRepresentatives());
-  ExpectSameItems(merged.RejectedRepresentatives(),
-                  pointwise.RejectedRepresentatives());
 }
 
 TEST(PipelineDeterminismTest, MergedQuiescedAfterDrainEqualsMerged) {

@@ -308,25 +308,24 @@ std::vector<int64_t> JitterStamps(size_t n, uint64_t seed,
 }
 
 /// Feeds a stamped stream in randomized chunk sizes (deterministic per
-/// seed), alternating the copy and the owned feed variants.
+/// seed), alternating the copy and the borrowed feed variants.
 void FeedRandomChunksStamped(ShardedSwSamplerPool* pool,
                              Span<const Point> points,
                              Span<const int64_t> stamps, uint64_t chunk_seed,
                              size_t max_chunk, bool drain_between = false) {
   Xoshiro256pp rng(chunk_seed);
   size_t offset = 0;
-  bool owned = false;
+  bool borrowed = false;
   while (offset < points.size()) {
     const size_t chunk = 1 + static_cast<size_t>(rng.NextBounded(max_chunk));
     const Span<const Point> p = points.subspan(offset, chunk);
     const Span<const int64_t> s = stamps.subspan(offset, chunk);
-    if (owned) {
-      pool->FeedOwnedStamped(std::vector<Point>(p.begin(), p.end()),
-                             std::vector<int64_t>(s.begin(), s.end()));
+    if (borrowed) {
+      pool->FeedBorrowedStamped(p, s);
     } else {
       pool->FeedStamped(p, s);
     }
-    owned = !owned;
+    borrowed = !borrowed;
     offset += chunk;
     if (drain_between) pool->Drain();
   }
@@ -507,28 +506,6 @@ TEST(SwPipelineDeterminismTest, UnifiedQueryPoolDedupesAndPassesThrough) {
       EXPECT_EQ(unified2[i].stream_index, unified[i].stream_index);
     }
   }
-}
-
-TEST(SwPipelineDeterminismTest, AdaptiveFeedMatchesPointwise) {
-  // FeedAdaptive's chunk sizes depend on live queue depths (timing), so
-  // this pin is exactly the determinism contract: whatever chunking the
-  // policy produces, the one-lane pool equals the pointwise sampler.
-  const std::vector<Point> points = RevisitStream(2000, 80, 50);
-  const int64_t window = 199;
-  const SamplerOptions opts = BaseOptions(910);
-
-  auto pointwise = RobustL0SamplerSW::Create(opts, window).value();
-  for (const Point& p : points) pointwise.Insert(p);
-
-  auto pool = ShardedSwSamplerPool::Create(opts, window, 1).value();
-  AdaptiveChunkOptions chunk_opts;
-  chunk_opts.min_chunk = 16;
-  chunk_opts.initial_chunk = 64;
-  pool.chunk_policy() = AdaptiveChunkPolicy(chunk_opts);
-  pool.FeedAdaptive(points);
-  pool.Drain();
-  EXPECT_EQ(pool.points_processed(), points.size());
-  ExpectSameLevelState(pool.shard(0), pointwise);
 }
 
 TEST(SwPipelineDeterminismTest, LegacyDifferentialPinsTheRefactor) {

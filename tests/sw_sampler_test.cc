@@ -144,8 +144,8 @@ TEST(SwSamplerTest, UniformityOverWindowGroupsWithinConstantFactor) {
   // ~0.7x (oldest) to ~2.4x (newest) of the uniform target, i.e. the
   // guarantee that actually holds is Θ(1/n) per group, mirroring the
   // paper's own relaxed guarantee (2) for general datasets. See
-  // DESIGN.md §3 and EXPERIMENTS.md; bench_sliding_window plots the
-  // profile. This test asserts the Θ(1/n) band.
+  // "Boundary-group bias" in docs/ARCHITECTURE.md; bench_sliding_window
+  // plots the profile. This test asserts the Θ(1/n) band.
   const int window = 64;
   const int stream_len = 300;
   const int runs = 4000;
@@ -201,8 +201,8 @@ TEST(SwSamplerTest, RecurringGroupStaysSampleable) {
   }
   // The recurring group is one of ~29 alive groups. Its record is old
   // (tracked at a deep level most of the time), so the boundary recency
-  // bias of DESIGN.md §3 pushes it well below parity — empirically the
-  // hit rate sits near 0.008 for any query seed or group-iteration
+  // bias (docs/ARCHITECTURE.md) pushes it well below parity — empirically
+  // the hit rate sits near 0.008 for any query seed or group-iteration
   // order. Assert the Θ(1) sampleability band with ≈3σ slack instead of
   // a knife-edge cut (the old 0.005 bound flipped on iteration-order
   // changes of the query pool).

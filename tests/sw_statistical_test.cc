@@ -13,11 +13,12 @@
 //   * chi-squared uniformity of sampled groups over the live set,
 //     pooling draws from independent pool instances (fresh sampler
 //     randomness per instance). Per-instance draws share the realized
-//     level assignment, whose conditional law is only Θ(1)-uniform
-//     (DESIGN.md §3 boundary bias), so the threshold carries a design-
-//     effect allowance on top of the χ²(df=99) p≈0.001 critical value —
-//     calibrated against the observed statistic (≈3x headroom), tight
-//     enough to catch any systematic leak or starvation of a group;
+//     level assignment, whose conditional law is only Θ(1)-uniform (the
+//     boundary-group bias of docs/ARCHITECTURE.md), so the threshold
+//     carries a design-effect allowance on top of the χ²(df=99) p≈0.001
+//     critical value — calibrated against the observed statistic (≈3x
+//     headroom), tight enough to catch any systematic leak or starvation
+//     of a group;
 //   * windowed F0 through the F0EstimatorSW pipeline lanes within the
 //     estimator's constant-factor envelope.
 
@@ -319,20 +320,14 @@ TEST(SwStatisticalTest, WindowedF0WithinEnvelopeThroughPipeline) {
   EXPECT_LT(estimate, truth * 3.0);
 }
 
-// Regression pin: F0EstimatorSW::Insert once updated its insertion
-// counters (latest_stamp / points_processed) OUTSIDE the pipeline lock,
-// while EnsurePipeline captures them as the pipeline's index base and
-// LatchFeedMode validates them — so a first Feed racing the tail of a
-// serial-insert phase could latch a torn index base and shift every
-// subsequent stamp. The counters are now written under pipe_->mu
-// (pinned by the clang thread-safety annotations at compile time); this
-// test pins the runtime contract the lock protects: a serial prefix
-// followed by concurrent pipeline Feeds continues the index/stamp
-// sequence exactly — EstimateLatest evaluates at stamp kStreamLen-1,
-// and with a stream-covering window the estimate lands in the envelope
-// regardless of chunk interleaving. Runs under TSan in CI (this file is
-// in the tsan job's battery).
-TEST(SwStatisticalTest, SerialInsertThenConcurrentFeedContinuesStamps) {
+// Concurrent pipelined feeding: four threads Feed one estimator, whose
+// copies run as broadcast lanes of one pool. The pool assigns index
+// bases atomically with enqueue order, so the fed chunks form one stamp
+// sequence 0..kStreamLen-1 whatever the interleaving — EstimateLatest
+// evaluates at stamp kStreamLen-1, and with a stream-covering window the
+// estimate lands in the envelope. Runs under TSan in CI (this file is in
+// the tsan job's battery).
+TEST(SwStatisticalTest, ConcurrentFeedsShareOneStampSequence) {
   const Workload& w = SharedWorkload();
   F0SwOptions opts;
   opts.sampler = StatOptions(78);
@@ -343,13 +338,7 @@ TEST(SwStatisticalTest, SerialInsertThenConcurrentFeedContinuesStamps) {
   opts.copies = 16;
   auto est = F0EstimatorSW::Create(opts).value();
 
-  // Serial prefix: sequence-stamped inserts 0..399.
-  constexpr size_t kPrefix = 400;
-  for (size_t i = 0; i < kPrefix; ++i) est.Insert(w.points[i]);
-
-  // Concurrent continuation: 4 threads feed the remaining 50000 points
-  // in 2500-point chunks. The first Feed latches the index base at
-  // kPrefix under the pipeline lock.
+  // 4 threads feed the stream in 2500-point chunks.
   constexpr size_t kChunk = 2500;
   constexpr size_t kThreads = 4;
   const Span<const Point> all(w.points);
@@ -357,7 +346,7 @@ TEST(SwStatisticalTest, SerialInsertThenConcurrentFeedContinuesStamps) {
   feeders.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
     feeders.emplace_back([&, t] {
-      for (size_t offset = kPrefix + t * kChunk; offset < all.size();
+      for (size_t offset = t * kChunk; offset < all.size();
            offset += kThreads * kChunk) {
         est.Feed(all.subspan(offset, kChunk));
       }
@@ -366,8 +355,7 @@ TEST(SwStatisticalTest, SerialInsertThenConcurrentFeedContinuesStamps) {
   for (std::thread& th : feeders) th.join();
   est.Drain();
 
-  // The stamp sequence continued across the serial/pipeline boundary:
-  // the latest stamp is the last stream position, so EstimateLatest and
+  // The latest stamp is the last stream position, so EstimateLatest and
   // an explicit end-of-stream Estimate agree exactly.
   const double latest = est.EstimateLatest();
   const double at_end = est.Estimate(static_cast<int64_t>(kStreamLen) - 1);

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Docs cross-reference check, two passes:
+# Docs cross-reference check, three passes:
 #
 #   1. Markdown links: fails if any relative [text](target) link in the
 #      root-level markdown files (README.md, ROADMAP.md, ...) or
@@ -9,6 +9,9 @@
 #      `bench/...`, `docs/...`, `examples/...`, or a bare
 #      `core/...`-style path under src/rl0/) names a file that does not
 #      exist — stale references are how architecture docs rot.
+#   3. Doc citations in code: fails if a `NAME.md` (or `dir/NAME.md`)
+#      mentioned anywhere in src/, tests/ or bench/ resolves to no file,
+#      relative to the repo root or docs/.
 #
 # Run from anywhere; CI runs it as its own step (see
 # .github/workflows/ci.yml).
@@ -62,6 +65,17 @@ for f in README.md docs/*.md; do
            | grep -E '\.(h|cc|cpp|md|sh|txt|yml|json)(\{[a-z,]+\})?$|\.\{[a-z,]+\}$' \
            | sort -u)
 done
+
+# Pass 3: markdown files cited from code comments and strings.
+while IFS= read -r hit; do
+  file="${hit%%:*}"
+  ref="${hit#*:}"
+  if [ ! -e "$ref" ] && [ ! -e "docs/$ref" ]; then
+    echo "DANGLING DOC REFERENCE: $file -> $ref" >&2
+    status=1
+  fi
+done < <(grep -roE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' src tests bench \
+         | sort -u)
 
 if [ "$status" -ne 0 ]; then
   echo "docs link check FAILED" >&2

@@ -398,15 +398,13 @@ int RunSampleTime(const Args& args, rl0::Metric metric) {
         if (ckpt && !CheckpointOk(ckpt->MaybeCut())) return 2;
       }
       sw_pool.FlushLate();
-    } else if (ckpt) {
-      // Fixed chunks so checkpoint cuts land between feeds.
+    } else {
+      // Fixed chunks, so checkpoint cuts land between feeds.
       for (size_t offset = 0; offset < all_points.size(); offset += chunk) {
         sw_pool.FeedStamped(all_points.subspan(offset, chunk),
                             all_stamps.subspan(offset, chunk));
-        if (!CheckpointOk(ckpt->MaybeCut())) return 2;
+        if (ckpt && !CheckpointOk(ckpt->MaybeCut())) return 2;
       }
-    } else {
-      sw_pool.FeedStampedAdaptive(points, stamps);
     }
     sw_pool.Drain();
     if (ckpt && !CheckpointOk(ckpt->Finish())) return 2;
