@@ -25,14 +25,15 @@
 //
 // Bounded-lateness scenario rows (core/reorder_buffer.h) price the
 // reorder front-end: the same stamped stream disordered within a
-// lateness bound, fed through InsertStampedLate / FeedStampedLate,
-// against the canonically sorted stream fed strict (sorted p/s — the
-// work the reorder stage saves the caller):
+// lateness bound, fed through the pool's reorder stage
+// (FeedStampedLate, the only bounded-lateness front end), against the
+// canonically sorted stream fed strict to the same pool (sorted p/s —
+// the work the reorder stage saves the caller):
 //
 //   late-jitter — uniform jitter disorder within bound 128 (clock skew
-//                 across sources), serial;
+//                 across sources), 1-lane pool;
 //   late-skew   — heavy-tailed disorder within bound 1024 (rare
-//                 stragglers near the bound), serial;
+//                 stragglers near the bound), 1-lane pool;
 //   late-bursty — a bursty stream (whole-window stamp leaps) disordered
 //                 within bound 128, 4-lane pool with watermark
 //                 broadcasts.
@@ -200,15 +201,15 @@ int main() {
       const char* name;
       std::vector<rl0::StampedPoint> stream;
       int64_t bound;
-      size_t lanes;  // 0 = serial InsertStampedLate
+      size_t lanes;
     };
     const std::vector<rl0::StampedPoint> bursty =
         rl0::TimeStampedBursty(data, 3, 2048, time_window / 2, seed + dim);
     const LateScenario scenarios[3] = {
         {"late-jitter", rl0::DisorderWithinBound(stamped, 128, seed + dim),
-         128, 0},
+         128, 1},
         {"late-skew", rl0::DisorderSkewed(stamped, 1024, seed + dim), 1024,
-         0},
+         1},
         {"late-bursty", rl0::DisorderWithinBound(bursty, 128, seed + dim + 1),
          128, 4},
     };
@@ -230,14 +231,6 @@ int main() {
           BestOf(repeats, data.size(), [&](int rep) -> size_t {
             SamplerOptions o = opts;
             o.seed = seed + rep;
-            if (sc.lanes == 0) {
-              auto sampler =
-                  RobustL0SamplerSW::Create(o, time_window).value();
-              for (size_t i = 0; i < spoints.size(); ++i) {
-                sampler.Insert(spoints[i], sstamps[i]);
-              }
-              return sampler.SpaceWords();
-            }
             auto pool =
                 ShardedSwSamplerPool::Create(o, time_window, sc.lanes)
                     .value();
@@ -255,16 +248,6 @@ int main() {
             SamplerOptions o = opts;
             o.seed = seed + rep;
             o.allowed_lateness = sc.bound;
-            if (sc.lanes == 0) {
-              auto sampler =
-                  RobustL0SamplerSW::Create(o, time_window).value();
-              for (size_t i = 0; i < lpoints.size(); ++i) {
-                sampler.InsertStampedLate(lpoints[i], lstamps[i]);
-              }
-              sampler.FlushLate();
-              late_results[s].stats = sampler.late_stats();
-              return sampler.SpaceWords();
-            }
             auto pool =
                 ShardedSwSamplerPool::Create(o, time_window, sc.lanes)
                     .value();
@@ -317,15 +300,16 @@ int main() {
       std::printf(
           ", {\"workload\": \"%s\", \"scenario\": \"%s\", \"dim\": %zu, "
           "\"points\": %zu, \"lateness\": %lld, \"lanes\": %zu, "
-          "\"sorted_points_per_sec\": %.0f, \"late_points_per_sec\": %.0f, "
-          "\"late_relative\": %.3f, \"late_dropped\": %llu%s}",
+          "\"pool_sorted_points_per_sec\": %.0f, "
+          "\"pool_late_points_per_sec\": %.0f, "
+          "\"pool_late_relative\": %.3f, \"late_dropped\": %llu%s}",
           data.name.c_str(), sc.name, dim, sc.stream.size(),
           static_cast<long long>(sc.bound), sc.lanes, lr.sorted_rate,
           lr.late_rate, lr.late_rate / lr.sorted_rate,
           static_cast<unsigned long long>(lr.stats.late_dropped),
-          // The lanes > 0 scenario is a pool row; on one core it only
-          // prices pipeline + reorder overhead.
-          sc.lanes > 0 && cores == 1 ? ", \"overhead_only\": true" : "");
+          // Every scenario is a pool row; on one core it only prices
+          // pipeline + reorder overhead.
+          cores == 1 ? ", \"overhead_only\": true" : "");
     }
   }
   std::printf("]}\n");

@@ -13,9 +13,8 @@ namespace rl0 {
 namespace {
 
 // Full-snapshot framing — must mirror core/snapshot.cc exactly: deltas
-// fold into blobs that are byte-identical to SnapshotSampler/-SW output,
+// fold into blobs that are byte-identical to SnapshotSamplerSW output,
 // checksum included.
-constexpr char kSnapMagic[8] = {'R', 'L', '0', 'S', 'N', 'A', 'P', '\0'};
 constexpr char kSnapMagicSW[8] = {'R', 'L', '0', 'S', 'N', 'P', 'W', '\0'};
 constexpr uint32_t kSnapVersion = 2;
 /// Byte length of the PutOptions encoding (core/snapshot.cc).
@@ -25,7 +24,8 @@ constexpr size_t kOptionsOffset = 8 + 4;
 
 constexpr char kDeltaMagic[8] = {'R', 'L', '0', 'D', 'L', 'T', 'A', '\0'};
 constexpr uint32_t kDeltaVersion = 1;
-constexpr uint8_t kKindIW = 1;
+/// Delta kind byte. Sliding-window deltas are the only kind; 1 (the
+/// retired infinite-window delta) is never written and always rejected.
 constexpr uint8_t kKindSW = 2;
 
 constexpr char kPoolMagic[8] = {'R', 'L', '0', 'C', 'K', 'P', 'T', '\0'};
@@ -117,14 +117,15 @@ Status BlobDim(const std::string& payload, size_t* dim) {
   return Status::OK();
 }
 
-/// Checks a full blob's magic + version for delta folding (deltas are
-/// only cut against version-2 fulls, which SnapshotSampler*Full always
-/// writes).
-Status CheckFullHeader(const std::string& payload, const char magic[8]) {
+/// Checks a full SW blob's magic + version for delta folding (deltas are
+/// only cut against version-2 fulls, which SnapshotSamplerFullSW always
+/// writes). Any other blob — an infinite-window snapshot included — is
+/// rejected.
+Status CheckFullHeader(const std::string& payload) {
   if (payload.size() < kOptionsOffset + kOptionsBytes) {
     return Status::InvalidArgument("base snapshot too small");
   }
-  if (std::memcmp(payload.data(), magic, 8) != 0) {
+  if (std::memcmp(payload.data(), kSnapMagicSW, 8) != 0) {
     return Status::InvalidArgument("base is not the expected snapshot kind");
   }
   uint32_t version = 0;
@@ -133,22 +134,6 @@ Status CheckFullHeader(const std::string& payload, const char magic[8]) {
     return Status::InvalidArgument("unsupported base version for delta");
   }
   return Status::OK();
-}
-
-/// Serializes one representative record — must mirror SnapshotSampler's
-/// per-record encoding byte for byte.
-void PutIwRecord(BinaryWriter* writer, const RepTable& reps, uint32_t slot,
-                 bool reservoir_mode) {
-  writer->PutU64(reps.id(slot));
-  writer->PutU64(reps.stream_index(slot));
-  writer->PutU64(reps.cell_key(slot));
-  writer->PutU8(reps.accepted(slot) ? 1 : 0);
-  writer->PutU64(reservoir_mode ? reps.group_count(slot) : 1);
-  writer->PutU64(reservoir_mode ? reps.sample_index(slot)
-                                : reps.stream_index(slot));
-  PutPoint(writer, reps.point(slot));
-  PutPoint(writer, reservoir_mode ? reps.sample_point(slot)
-                                  : reps.point(slot));
 }
 
 /// Serializes one group record — must mirror SnapshotSamplerSW's
@@ -199,161 +184,6 @@ uint64_t SnapshotChainChecksum(const std::string& blob) {
   return checksum;
 }
 
-// ------------------------------------------------ infinite-window deltas
-
-Status SnapshotSamplerFull(RobustL0SamplerIW* sampler, std::string* out) {
-  if (Status st = SnapshotSampler(*sampler, out); !st.ok()) return st;
-  sampler->reps_.MarkCheckpoint();
-  return Status::OK();
-}
-
-Status SnapshotSamplerDelta(RobustL0SamplerIW* sampler,
-                            uint64_t base_checksum, std::string* out) {
-  out->clear();
-  BinaryWriter writer(out);
-  writer.PutBytes(kDeltaMagic, sizeof(kDeltaMagic));
-  writer.PutU32(kDeltaVersion);
-  writer.PutU8(kKindIW);
-  writer.PutU64(base_checksum);
-  writer.PutU32(sampler->level_);
-  writer.PutU64(sampler->points_processed_);
-  writer.PutU64(sampler->next_rep_id_);
-  writer.PutU64(sampler->meter_.peak());
-
-  const RepTable& reps = sampler->reps_;
-  const bool reservoir_mode = sampler->options_.random_representative;
-  std::vector<uint32_t> dirty_slots;
-  std::vector<uint64_t> live_ids;
-  live_ids.reserve(reps.live());
-  const size_t slots = reps.slot_count();
-  for (uint32_t slot = 0; slot < slots; ++slot) {
-    if (!reps.IsLive(slot)) continue;
-    live_ids.push_back(reps.id(slot));
-    if (reps.SlotDirty(slot)) dirty_slots.push_back(slot);
-  }
-  writer.PutU64(dirty_slots.size());
-  for (uint32_t slot : dirty_slots) {
-    PutIwRecord(&writer, reps, slot, reservoir_mode);
-  }
-  // The live-id order list is the whole state map relative to the base:
-  // an id absent from it was removed (refilter), and the order is the
-  // slot order a contemporaneous full snapshot serializes in.
-  writer.PutU64(live_ids.size());
-  for (uint64_t id : live_ids) writer.PutU64(id);
-  writer.PutU64(Checksum(*out, out->size()));
-  sampler->reps_.MarkCheckpoint();
-  return Status::OK();
-}
-
-Status ApplySamplerDelta(const std::string& base, const std::string& delta,
-                         std::string* out) {
-  Result<std::string> base_payload_r = CheckedPayload(base);
-  if (!base_payload_r.ok()) return base_payload_r.status();
-  const std::string base_payload = std::move(base_payload_r).value();
-  if (Status st = CheckFullHeader(base_payload, kSnapMagic); !st.ok()) {
-    return st;
-  }
-  size_t dim = 0;
-  if (Status st = BlobDim(base_payload, &dim); !st.ok()) return st;
-  const size_t rec_size = 41 + 16 * dim;
-  // Index the base records by id. Scalars after the options block:
-  // level u32, points_processed u64, next_rep_id u64, peak u64.
-  Cursor bc{base_payload, kOptionsOffset + kOptionsBytes + 4 + 8 + 8 + 8};
-  uint64_t base_count = 0;
-  if (!bc.U64(&base_count)) {
-    return Status::InvalidArgument("base snapshot truncated");
-  }
-  if (base_count > bc.remaining() / rec_size ||
-      base_count * rec_size != bc.remaining()) {
-    return Status::InvalidArgument("base record section malformed");
-  }
-  std::unordered_map<uint64_t, size_t> base_index;
-  base_index.reserve(base_count);
-  for (uint64_t i = 0; i < base_count; ++i) {
-    uint64_t id = 0;
-    std::memcpy(&id, base_payload.data() + bc.pos, sizeof(id));
-    base_index[id] = bc.pos;
-    bc.pos += rec_size;
-  }
-
-  Result<std::string> delta_payload_r = CheckedPayload(delta);
-  if (!delta_payload_r.ok()) return delta_payload_r.status();
-  const std::string delta_payload = std::move(delta_payload_r).value();
-  Cursor dc{delta_payload};
-  char magic[8];
-  if (!dc.Raw(magic, sizeof(magic)) ||
-      std::memcmp(magic, kDeltaMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("not an rl0 delta");
-  }
-  uint32_t version = 0;
-  uint8_t kind = 0;
-  uint64_t base_checksum = 0;
-  if (!dc.U32(&version) || !dc.U8(&kind) || !dc.U64(&base_checksum)) {
-    return Status::InvalidArgument("delta truncated");
-  }
-  if (version != kDeltaVersion) {
-    return Status::InvalidArgument("unsupported delta version");
-  }
-  if (kind != kKindIW) {
-    return Status::InvalidArgument("delta kind mismatch");
-  }
-  if (base_checksum != SnapshotChainChecksum(base)) {
-    return Status::InvalidArgument("delta was cut against a different base");
-  }
-  uint32_t level = 0;
-  uint64_t points_processed = 0, next_rep_id = 0, peak = 0;
-  if (!dc.U32(&level) || !dc.U64(&points_processed) ||
-      !dc.U64(&next_rep_id) || !dc.U64(&peak)) {
-    return Status::InvalidArgument("delta truncated");
-  }
-  uint64_t dirty_count = 0;
-  if (!dc.U64(&dirty_count) || dirty_count > dc.remaining() / rec_size) {
-    return Status::InvalidArgument("bad dirty count in delta");
-  }
-  std::unordered_map<uint64_t, size_t> dirty_index;
-  dirty_index.reserve(dirty_count);
-  for (uint64_t i = 0; i < dirty_count; ++i) {
-    uint64_t id = 0;
-    std::memcpy(&id, delta_payload.data() + dc.pos, sizeof(id));
-    dirty_index[id] = dc.pos;
-    dc.pos += rec_size;
-  }
-  uint64_t live_count = 0;
-  if (!dc.U64(&live_count) || live_count != dc.remaining() / 8 ||
-      live_count * 8 != dc.remaining()) {
-    return Status::InvalidArgument("bad live-id list in delta");
-  }
-
-  out->clear();
-  BinaryWriter writer(out);
-  writer.PutBytes(kSnapMagic, sizeof(kSnapMagic));
-  writer.PutU32(kSnapVersion);
-  // Options are immutable across a sampler's lifetime: copy them
-  // verbatim from the base (the delta never re-encodes them).
-  writer.PutBytes(base_payload.data() + kOptionsOffset, kOptionsBytes);
-  writer.PutU32(level);
-  writer.PutU64(points_processed);
-  writer.PutU64(next_rep_id);
-  writer.PutU64(peak);
-  writer.PutU64(live_count);
-  for (uint64_t i = 0; i < live_count; ++i) {
-    uint64_t id = 0;
-    if (!dc.U64(&id)) return Status::InvalidArgument("delta truncated");
-    auto dirty = dirty_index.find(id);
-    if (dirty != dirty_index.end()) {
-      writer.PutBytes(delta_payload.data() + dirty->second, rec_size);
-      continue;
-    }
-    auto clean = base_index.find(id);
-    if (clean == base_index.end()) {
-      return Status::InvalidArgument("delta references an id not in base");
-    }
-    writer.PutBytes(base_payload.data() + clean->second, rec_size);
-  }
-  writer.PutU64(Checksum(*out, out->size()));
-  return Status::OK();
-}
-
 // ------------------------------------------------- sliding-window deltas
 
 Status SnapshotSamplerFullSW(RobustL0SamplerSW* sampler, std::string* out) {
@@ -375,8 +205,7 @@ Status SnapshotSamplerDeltaSW(RobustL0SamplerSW* sampler,
   writer.PutI64(sampler->latest_stamp_);
   writer.PutU64(sampler->error_count_);
   writer.PutU64(sampler->stuck_split_count_);
-  // Core peak, matching SnapshotSamplerSW (reorder buffer is scratch).
-  writer.PutU64(sampler->core_meter_.peak());
+  writer.PutU64(sampler->meter_.peak());
   writer.PutU64(sampler->levels_.size());
   std::vector<GroupRecord> dirty;
   std::vector<uint64_t> live_ids;
@@ -399,7 +228,7 @@ Status ApplySamplerDeltaSW(const std::string& base, const std::string& delta,
   Result<std::string> base_payload_r = CheckedPayload(base);
   if (!base_payload_r.ok()) return base_payload_r.status();
   const std::string base_payload = std::move(base_payload_r).value();
-  if (Status st = CheckFullHeader(base_payload, kSnapMagicSW); !st.ok()) {
+  if (Status st = CheckFullHeader(base_payload); !st.ok()) {
     return st;
   }
   size_t dim = 0;

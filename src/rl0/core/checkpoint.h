@@ -3,20 +3,22 @@
 // core/snapshot.h serializes one sampler in full. This layer adds the two
 // pieces a long-running stream processor needs on top of that:
 //
-//  1. *Delta snapshots.* A full cut (SnapshotSamplerFull/-SW) marks a
-//     dirty-tracking epoch on the sampler's slot tables; a delta cut
-//     (SnapshotSamplerDelta/-SW) then serializes only the records touched
-//     since the previous cut, plus the live-id order of every record —
-//     which fully determines the sampler's state relative to the base
-//     (deletions are implicit: an id absent from the order list is gone;
-//     ids are monotone and never reused). ApplySamplerDelta/-SW folds a
-//     delta onto its base and produces a blob *byte-identical* to the
-//     full snapshot a contemporaneous SnapshotSampler/-SW call would have
-//     written — so a folded chain is self-validating against the full
-//     format's trailing checksum, and deltas chain by construction: each
-//     delta records the trailing checksum of the exact base it was cut
-//     against (SnapshotChainChecksum) and refuses to fold onto anything
-//     else.
+//  1. *Delta snapshots.* A full cut (SnapshotSamplerFullSW) marks a
+//     dirty-tracking epoch on the sliding-window sampler's group tables;
+//     a delta cut (SnapshotSamplerDeltaSW) then serializes only the
+//     records touched since the previous cut, plus the live-id order of
+//     every record — which fully determines the sampler's state relative
+//     to the base (deletions are implicit: an id absent from the order
+//     list is gone; ids are monotone and never reused).
+//     ApplySamplerDeltaSW folds a delta onto its base and produces a blob
+//     *byte-identical* to the full snapshot a contemporaneous
+//     SnapshotSamplerSW call would have written — so a folded chain is
+//     self-validating against the full format's trailing checksum, and
+//     deltas chain by construction: each delta records the trailing
+//     checksum of the exact base it was cut against
+//     (SnapshotChainChecksum) and refuses to fold onto anything else.
+//     Infinite-window samplers have no delta: they checkpoint only as a
+//     full SnapshotSampler blob (core/snapshot.h).
 //
 //  2. *A stamped journal.* ShardedSwSamplerPool::SetJournalSink taps the
 //     feed path; JournalWriter turns the tap into an append-only record
@@ -56,7 +58,6 @@
 #include <string>
 #include <vector>
 
-#include "rl0/core/iw_sampler.h"
 #include "rl0/core/sharded_pool.h"
 #include "rl0/core/sw_sampler.h"
 #include "rl0/geom/point.h"
@@ -72,29 +73,24 @@ namespace rl0 {
 /// small to carry one.
 uint64_t SnapshotChainChecksum(const std::string& blob);
 
-/// Serializes `sampler` in full (byte-identical to SnapshotSampler) and
-/// marks the dirty-tracking epoch: the next delta cut reports only
+/// Serializes `sampler` in full (byte-identical to SnapshotSamplerSW)
+/// and marks the dirty-tracking epoch: the next delta cut reports only
 /// records touched from this point on.
-Status SnapshotSamplerFull(RobustL0SamplerIW* sampler, std::string* out);
+Status SnapshotSamplerFullSW(RobustL0SamplerSW* sampler, std::string* out);
 
 /// Serializes only the records touched since the last Full/Delta cut,
-/// plus the live-id order, chained to the base whose trailing checksum
-/// is `base_checksum`; then marks a fresh epoch. The sampler must have
-/// had a Full cut before (the epoch and the chain both start there).
-Status SnapshotSamplerDelta(RobustL0SamplerIW* sampler,
-                            uint64_t base_checksum, std::string* out);
-
-/// Folds `delta` onto `base` (a full blob — from SnapshotSamplerFull or
-/// a previous fold). `out` is byte-identical to the full snapshot a
-/// contemporaneous SnapshotSampler call would have produced. Fails if
-/// either blob is corrupt or the delta was cut against a different base.
-Status ApplySamplerDelta(const std::string& base, const std::string& delta,
-                         std::string* out);
-
-/// Sliding-window variants of the trio above.
-Status SnapshotSamplerFullSW(RobustL0SamplerSW* sampler, std::string* out);
+/// plus each level's live-id order, chained to the base whose trailing
+/// checksum is `base_checksum`; then marks a fresh epoch. The sampler
+/// must have had a Full cut before (the epoch and the chain both start
+/// there).
 Status SnapshotSamplerDeltaSW(RobustL0SamplerSW* sampler,
                               uint64_t base_checksum, std::string* out);
+
+/// Folds `delta` onto `base` (a full blob — from SnapshotSamplerFullSW or
+/// a previous fold). `out` is byte-identical to the full snapshot a
+/// contemporaneous SnapshotSamplerSW call would have produced. Fails if
+/// either blob is corrupt, the base is not a sliding-window snapshot, or
+/// the delta was cut against a different base.
 Status ApplySamplerDeltaSW(const std::string& base, const std::string& delta,
                            std::string* out);
 

@@ -160,13 +160,6 @@ class RobustL0SamplerIW {
                                 std::string* out);
   friend Result<RobustL0SamplerIW> RestoreSampler(
       const std::string& snapshot);
-  // Incremental checkpoints (core/checkpoint.h): the full cut marks the
-  // dirty-tracking epoch, the delta cut serializes only touched slots.
-  friend Status SnapshotSamplerFull(RobustL0SamplerIW* sampler,
-                                    std::string* out);
-  friend Status SnapshotSamplerDelta(RobustL0SamplerIW* sampler,
-                                     uint64_t base_checksum,
-                                     std::string* out);
 
   RobustL0SamplerIW(const SamplerOptions& options, double side);
 

@@ -99,18 +99,17 @@ struct SamplerOptions {
   /// entirely by -DRL0_NO_DUP_FILTER.
   bool dup_filter = true;
 
-  /// Bounded-lateness ingestion (core/reorder_buffer.h): the late feed
-  /// paths (RobustL0SamplerSW::InsertStampedLate,
-  /// ShardedSwSamplerPool::FeedStampedLate) accept stamps that run
-  /// backwards by at most this many time units behind the maximum stamp
-  /// seen, reordering them into the strict non-decreasing sequence the
-  /// samplers require. Must be
-  /// ≥ 0; 0 still tolerates equal-stamp ties arriving in any order. The
+  /// Bounded-lateness ingestion (core/reorder_buffer.h): the pool's late
+  /// feed path (ShardedSwSamplerPool::FeedStampedLate, the only reorder
+  /// front end) accepts stamps that run backwards by at most this many
+  /// time units behind the maximum stamp seen, reordering them into the
+  /// strict non-decreasing sequence the samplers require. Must be ≥ 0;
+  /// 0 still tolerates equal-stamp ties arriving in any order. The
   /// strict FeedStamped/InsertStamped paths ignore it.
   int64_t allowed_lateness = 0;
 
   /// Policy for arrivals later than allowed_lateness on the late feed
-  /// paths (see LatePolicy).
+  /// path (see LatePolicy).
   LatePolicy late_policy = LatePolicy::kDrop;
 
   /// The grid cell side implied by the options.

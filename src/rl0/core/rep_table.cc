@@ -206,7 +206,6 @@ uint32_t RepTable::Add(PointView point, uint64_t id, uint64_t stream_index,
     point_arena_.push_back(0);
     flags_.push_back(0);
     next_in_cell_.push_back(kNpos);
-    dirty_epoch_.push_back(0);
     if (with_reservoir_) {
       sample_point_.push_back(store_.Add(point));
       sample_index_.push_back(0);
@@ -222,7 +221,6 @@ uint32_t RepTable::Add(PointView point, uint64_t id, uint64_t stream_index,
     sample_index_[slot] = stream_index;
     group_count_[slot] = 1;
   }
-  dirty_epoch_[slot] = ckpt_seq_;
   Link(slot);
   ++live_;
   ++generation_;
@@ -246,7 +244,6 @@ void RepTable::set_accepted(uint32_t slot, bool accepted) {
   } else {
     flags_[slot] &= static_cast<uint8_t>(~kAcceptedFlag);
   }
-  dirty_epoch_[slot] = ckpt_seq_;
 }
 
 bool RepTable::MaybeCompact() {
@@ -294,7 +291,6 @@ void RepTable::Compact() {
     flags_[slot] = flags_[old];
     const uint32_t old_next = next_in_cell_[old];
     next_in_cell_[slot] = old_next == kNpos ? kNpos : map[old_next];
-    dirty_epoch_[slot] = dirty_epoch_[old];
     point_[slot] = packed.Add(store_.View(point_[old]));
     point_arena_[slot] = packed.SlotIndexOf(point_[slot]);
     if (with_reservoir_) {
@@ -312,7 +308,6 @@ void RepTable::Compact() {
   point_arena_.resize(packed_count);
   flags_.resize(packed_count);
   next_in_cell_.resize(packed_count);
-  dirty_epoch_.resize(packed_count);
   if (with_reservoir_) {
     sample_point_.resize(packed_count);
     sample_index_.resize(packed_count);
@@ -329,7 +324,6 @@ void RepTable::RekeyCell(uint32_t slot, uint64_t new_cell_key) {
   Unlink(slot);
   cell_key_[slot] = new_cell_key;
   Link(slot);
-  dirty_epoch_[slot] = ckpt_seq_;
   ++generation_;
 }
 

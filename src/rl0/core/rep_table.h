@@ -182,10 +182,7 @@ class RepTable {
 
   uint64_t id(uint32_t slot) const { return id_[slot]; }
   uint64_t stream_index(uint32_t slot) const { return stream_index_[slot]; }
-  void set_stream_index(uint32_t slot, uint64_t v) {
-    stream_index_[slot] = v;
-    dirty_epoch_[slot] = ckpt_seq_;
-  }
+  void set_stream_index(uint32_t slot, uint64_t v) { stream_index_[slot] = v; }
   uint64_t cell_key(uint32_t slot) const { return cell_key_[slot]; }
   bool accepted(uint32_t slot) const { return flags_[slot] & kAcceptedFlag; }
   void set_accepted(uint32_t slot, bool accepted);
@@ -194,7 +191,6 @@ class RepTable {
   /// Overwrites the rep's coordinates in place (same dimension).
   void set_point(uint32_t slot, PointView p) {
     store_.Write(point_[slot], p);
-    dirty_epoch_[slot] = ckpt_seq_;
     ++generation_;
   }
 
@@ -216,18 +212,11 @@ class RepTable {
   }
   void set_sample_point(uint32_t slot, PointView p) {
     store_.Write(sample_point_[slot], p);
-    dirty_epoch_[slot] = ckpt_seq_;
   }
   uint64_t sample_index(uint32_t slot) const { return sample_index_[slot]; }
-  void set_sample_index(uint32_t slot, uint64_t v) {
-    sample_index_[slot] = v;
-    dirty_epoch_[slot] = ckpt_seq_;
-  }
+  void set_sample_index(uint32_t slot, uint64_t v) { sample_index_[slot] = v; }
   uint64_t group_count(uint32_t slot) const { return group_count_[slot]; }
-  void set_group_count(uint32_t slot, uint64_t v) {
-    group_count_[slot] = v;
-    dirty_epoch_[slot] = ckpt_seq_;
-  }
+  void set_group_count(uint32_t slot, uint64_t v) { group_count_[slot] = v; }
 
   // -------------------------------------------------------- cell chains
 
@@ -253,24 +242,6 @@ class RepTable {
   /// Monotone (never reset), so stale entries can never collide back.
   uint64_t generation() const { return generation_; }
 
-  // -------------------------------------------------- checkpoint support
-
-  /// Starts a new checkpoint epoch: a slot reports SlotDirty() only when
-  /// its record content was mutated after the most recent call. Before
-  /// the first call every live slot is dirty, so a delta cut with no
-  /// prior checkpoint degenerates to a full serialization. O(1).
-  void MarkCheckpoint() { ++ckpt_seq_; }
-
-  /// Whether `slot`'s record content changed since MarkCheckpoint().
-  bool SlotDirty(uint32_t slot) const {
-    return dirty_epoch_[slot] == ckpt_seq_;
-  }
-
-  /// Stamps `slot` into the current checkpoint epoch. The table stamps
-  /// its own mutations; callers stamp payload mutations the table cannot
-  /// see (e.g. query-time reservoir expiry in the owning sampler).
-  void MarkSlotDirty(uint32_t slot) { dirty_epoch_[slot] = ckpt_seq_; }
-
  private:
   enum : uint8_t { kLiveFlag = 1, kAcceptedFlag = 2 };
 
@@ -293,12 +264,6 @@ class RepTable {
   std::vector<PointRef> sample_point_;
   std::vector<uint64_t> sample_index_;
   std::vector<uint64_t> group_count_;
-
-  // Checkpoint-epoch stamp per slot: dirty ⇔ stamp equals ckpt_seq_.
-  // Epochs travel with their slots under Compact (the record content is
-  // untouched by compaction, so cleanliness is preserved).
-  std::vector<uint64_t> dirty_epoch_;
-  uint64_t ckpt_seq_ = 0;
 
   std::vector<uint32_t> free_slots_;
   size_t live_ = 0;

@@ -249,10 +249,7 @@ Status SnapshotSamplerSW(const RobustL0SamplerSW& sampler, std::string* out) {
   writer.PutI64(sampler.latest_stamp_);
   writer.PutU64(sampler.error_count_);
   writer.PutU64(sampler.stuck_split_count_);
-  // The core peak only: the reorder buffer is scratch, so late-path
-  // buffering must not leak into snapshot bytes (bit-identity with the
-  // strict sorted feed).
-  writer.PutU64(sampler.core_meter_.peak());
+  writer.PutU64(sampler.meter_.peak());
 
   writer.PutU64(sampler.levels_.size());
   std::vector<GroupRecord> groups;
@@ -394,12 +391,9 @@ Result<RobustL0SamplerSW> RestoreSamplerSW(const std::string& snapshot) {
     sampler.levels_[l]->MergeFrom(std::move(groups));
   }
   if (Status st = reader.ExpectEnd(); !st.ok()) return st;
-  sampler.UpdateMeters();
-  // v2 blobs carry the original core peak watermark (v1: legacy restart).
-  if (version >= 2) {
-    sampler.core_meter_.RestorePeak(peak_words);
-    sampler.meter_.RestorePeak(peak_words);
-  }
+  sampler.UpdateMeter();
+  // v2 blobs carry the original peak watermark (v1: legacy restart).
+  if (version >= 2) sampler.meter_.RestorePeak(peak_words);
   return sampler;
 }
 

@@ -218,7 +218,7 @@ std::optional<SampleItem> SwFixedRateSampler::Sample(int64_t now,
         // alive (otherwise Expire would have dropped the group). The
         // query-time reservoir expiry mutates the slot's record, so the
         // checkpoint epoch must see it.
-        table_.MarkSlotDirty(slot);
+        table_.MarkDirty(slot);
         const auto item = table_.reservoir(slot).Sample(now);
         RL0_DCHECK(item.has_value());
         if (item.has_value()) return item;
@@ -238,7 +238,7 @@ void SwFixedRateSampler::AcceptedGroupSamples(int64_t now,
     if (!table_.IsLive(slot) || !table_.accepted(slot)) continue;
     if (ctx_->options.random_representative) {
       // Query-time reservoir expiry mutates the record (checkpointing).
-      table_.MarkSlotDirty(slot);
+      table_.MarkDirty(slot);
       const auto item = table_.reservoir(slot).Sample(now);
       if (item.has_value()) {
         out->push_back(*item);

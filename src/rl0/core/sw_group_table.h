@@ -184,8 +184,10 @@ class SwGroupTable {
 
   // -------------------------------------------------- checkpoint support
 
-  /// Starts a new checkpoint epoch (see RepTable::MarkCheckpoint): a slot
-  /// reports SlotDirty() only for record mutations after this call.
+  /// Starts a new checkpoint epoch: a slot reports SlotDirty() only for
+  /// record mutations after this call. Before the first call every live
+  /// slot is dirty, so a delta cut with no prior checkpoint degenerates
+  /// to a full serialization. O(1).
   void MarkCheckpoint() { ++ckpt_seq_; }
 
   /// Whether `slot`'s record content changed since MarkCheckpoint().
@@ -196,7 +198,7 @@ class SwGroupTable {
   /// Stamps `slot` into the current checkpoint epoch — the table stamps
   /// its own mutations; the owning sampler stamps reservoir mutations the
   /// table cannot observe (query-time expiry, candidate insertion).
-  void MarkSlotDirty(uint32_t slot) { dirty_epoch_[slot] = ckpt_seq_; }
+  void MarkDirty(uint32_t slot) { dirty_epoch_[slot] = ckpt_seq_; }
 
  private:
   enum : uint8_t { kLiveFlag = 1, kAcceptedFlag = 2 };

@@ -35,7 +35,7 @@ RobustL0SamplerSW::RobustL0SamplerSW(const SamplerOptions& options,
   }
   dup_filter_ = DupFilter(options.dim, /*payload_len=*/1 + levels_.size(),
                           options.dup_filter);
-  UpdateMeters();
+  UpdateMeter();
 }
 
 void RobustL0SamplerSW::Insert(const Point& p, int64_t stamp) {
@@ -105,7 +105,7 @@ void RobustL0SamplerSW::InsertStamped(const Point& p, int64_t stamp,
   // exact repeat arrival when the probed levels are structurally
   // unchanged; otherwise fall through to the full descent.
   if (dup_filter_.enabled() && TryReplayDuplicate(p, stamp, stream_index)) {
-    UpdateMeters();
+    UpdateMeter();
     return;
   }
 
@@ -160,7 +160,7 @@ void RobustL0SamplerSW::InsertStamped(const Point& p, int64_t stamp,
     // the loop always accepts somewhere.
   }
   if (pure_touch) RecordDuplicate(prep, accept_level);
-  UpdateMeters();
+  UpdateMeter();
 }
 
 uint64_t RobustL0SamplerSW::SuffixEpoch(size_t from_level) const {
@@ -382,45 +382,6 @@ std::optional<SampleItem> RobustL0SamplerSW::SampleLatest(Xoshiro256pp* rng) {
   return Sample(watermark(), rng);
 }
 
-void RobustL0SamplerSW::InsertStampedLate(const Point& p, int64_t stamp) {
-  if (!reorder_) {
-    reorder_ = std::make_unique<ReorderStage>(ctx_->options.allowed_lateness,
-                                              ctx_->options.late_policy);
-  }
-  reorder_->Offer(p, stamp);
-  DrainLateReleases();
-}
-
-void RobustL0SamplerSW::FlushLate() {
-  if (!reorder_) return;
-  reorder_->Flush();
-  DrainLateReleases();
-}
-
-void RobustL0SamplerSW::DrainLateReleases() {
-  if (reorder_->TakeReleased(&late_points_scratch_, &late_stamps_scratch_)) {
-    for (size_t i = 0; i < late_points_scratch_.size(); ++i) {
-      // Insert assigns the dense stream index the sorted feed would —
-      // released order IS the canonically sorted order, so indices,
-      // coin streams and snapshot bytes match the strict path exactly.
-      Insert(late_points_scratch_[i], late_stamps_scratch_[i]);
-    }
-  }
-  if (reorder_->has_watermark()) NoteWatermark(reorder_->watermark());
-}
-
-ReorderStats RobustL0SamplerSW::late_stats() const {
-  return reorder_ ? reorder_->stats() : ReorderStats();
-}
-
-void RobustL0SamplerSW::set_late_sink(ReorderStage::LateSink sink) {
-  if (!reorder_) {
-    reorder_ = std::make_unique<ReorderStage>(ctx_->options.allowed_lateness,
-                                              ctx_->options.late_policy);
-  }
-  reorder_->set_late_sink(std::move(sink));
-}
-
 void RobustL0SamplerSW::NoteWatermark(int64_t watermark) {
   if (!has_event_watermark_ || watermark > event_watermark_) {
     has_event_watermark_ = true;
@@ -442,22 +403,12 @@ std::optional<uint32_t> RobustL0SamplerSW::DeepestNonEmptyLevel(int64_t now) {
   return std::nullopt;
 }
 
-size_t RobustL0SamplerSW::CoreSpaceWords() const {
+size_t RobustL0SamplerSW::SpaceWords() const {
   size_t words = 8;  // scalars
   for (const auto& level : levels_) words += level->SpaceWords();
   return words;
 }
 
-size_t RobustL0SamplerSW::SpaceWords() const {
-  // The bounded-lateness buffer is real Θ(lateness · rate) state; after
-  // a FlushLate it holds nothing and contributes nothing.
-  return CoreSpaceWords() + (reorder_ ? reorder_->SpaceWords() : 0);
-}
-
-void RobustL0SamplerSW::UpdateMeters() {
-  const size_t core = CoreSpaceWords();
-  core_meter_.Set(core);
-  meter_.Set(core + (reorder_ ? reorder_->SpaceWords() : 0));
-}
+void RobustL0SamplerSW::UpdateMeter() { meter_.Set(SpaceWords()); }
 
 }  // namespace rl0

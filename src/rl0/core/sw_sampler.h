@@ -37,7 +37,6 @@
 
 #include "rl0/core/context.h"
 #include "rl0/core/dup_filter.h"
-#include "rl0/core/reorder_buffer.h"
 #include "rl0/core/sample.h"
 #include "rl0/core/sw_fixed_sampler.h"
 #include "rl0/geom/point_store.h"
@@ -100,38 +99,14 @@ class RobustL0SamplerSW {
                             Span<const int64_t> stamps, size_t start,
                             size_t stride, uint64_t index_base = 0);
 
-  /// Bounded-lateness serial ingestion (core/reorder_buffer.h): accepts
-  /// stamps up to options().allowed_lateness behind the maximum stamp
-  /// seen, reorders them, and feeds the released sorted prefix through
-  /// the strict InsertStamped core — so for ANY arrival order within the
-  /// bound, sampler state (coin streams and snapshot bytes included) is
-  /// bit-identical to inserting the canonically sorted stream directly.
-  /// Beyond-bound arrivals follow options().late_policy (late_stats()
-  /// accounts for every one). Call FlushLate() before end-of-stream
-  /// queries; do not mix with the strict insert paths.
-  void InsertStampedLate(const Point& p, int64_t stamp);
-
-  /// Releases everything the late path still buffers (end of stream or a
-  /// checkpoint) and advances the event-time watermark to the maximum
-  /// stamp seen. Arrivals offered afterwards resume with everything at
-  /// or below that watermark judged late. No-op before any
-  /// InsertStampedLate.
-  void FlushLate();
-
-  /// Counters of the late path's reorder stage (all-zero before any
-  /// InsertStampedLate).
-  ReorderStats late_stats() const;
-
-  /// Side-channel sink for beyond-bound arrivals under
-  /// LatePolicy::kSideChannel; without one they buffer inside the stage
-  /// (ReorderStage::TakeLate). The sink runs on the inserting thread.
-  void set_late_sink(ReorderStage::LateSink sink);
-
   /// Raises the event-time watermark: a promise that no future stamp
-  /// will be below `watermark`. Scratch state — never serialized by
-  /// SnapshotSamplerSW (a restored sampler resumes at its latest stamp),
-  /// so noting watermarks keeps snapshot bytes bit-identical to the
-  /// strict sorted feed. Queries read it through watermark().
+  /// will be below `watermark`. Bounded-lateness ingestion lives in the
+  /// pool's reorder stage (ShardedSwSamplerPool::FeedStampedLate), which
+  /// broadcasts its watermark to every lane through this call. Scratch
+  /// state — never serialized by SnapshotSamplerSW (a restored sampler
+  /// resumes at its latest stamp), so noting watermarks keeps snapshot
+  /// bytes bit-identical to the strict sorted feed. Queries read it
+  /// through watermark().
   void NoteWatermark(int64_t watermark);
 
   /// Event time: the later of the latest inserted stamp and any noted
@@ -216,10 +191,9 @@ class RobustL0SamplerSW {
   /// The accept cap κ0·k·log m in force.
   size_t accept_cap() const { return accept_cap_; }
 
-  /// Current space in words (sum over levels plus scalars, including the
-  /// bounded-lateness reorder buffer while it holds points).
+  /// Current space in words (sum over levels plus scalars).
   size_t SpaceWords() const;
-  /// Peak space in words since construction (reorder buffer included).
+  /// Peak space in words since construction.
   size_t PeakSpaceWords() const { return meter_.peak(); }
 
   /// Duplicate-suppression front-end counters (core/dup_filter.h).
@@ -256,10 +230,8 @@ class RobustL0SamplerSW {
   /// can never collide back to a valid epoch.
   uint64_t SuffixEpoch(size_t from_level) const;
 
-  /// SpaceWords() minus the reorder buffer: the durable sampler state.
-  size_t CoreSpaceWords() const;
-  /// Refreshes both space meters after a state change.
-  void UpdateMeters();
+  /// Refreshes the space meter after a state change.
+  void UpdateMeter();
 
   /// Attempts to replay a recorded descent for an exact repeat arrival.
   /// Returns true when the arrival was fully handled (bit-identically to
@@ -290,11 +262,6 @@ class RobustL0SamplerSW {
   uint64_t error_count_ = 0;
   uint64_t stuck_split_count_ = 0;
   SpaceMeter meter_;
-  /// Peak of CoreSpaceWords() only. Snapshots serialize THIS peak: the
-  /// reorder buffer is scratch (like the dup filter), so its transient
-  /// occupancy must not leak into snapshot bytes — late-path and strict
-  /// sorted feeds stay bit-identical (the PR 7 contract).
-  SpaceMeter core_meter_;
   std::vector<uint64_t> adj_scratch_;
 
   // Duplicate-suppression front-end (core/dup_filter.h). Payload layout:
@@ -306,16 +273,6 @@ class RobustL0SamplerSW {
   // ignored or arrival not recordable).
   std::vector<uint32_t> touch_scratch_;
 
-  /// Drains the reorder stage's staged releases through the strict
-  /// insert core and folds its low watermark into the event watermark.
-  void DrainLateReleases();
-
-  // Bounded-lateness front-end of InsertStampedLate (lazy; serial-path
-  // twin of the pool's reorder stage). Like the dup filter, scratch
-  // state: never snapshotted.
-  std::unique_ptr<ReorderStage> reorder_;
-  std::vector<Point> late_points_scratch_;
-  std::vector<int64_t> late_stamps_scratch_;
   // Event-time watermark from NoteWatermark — scratch, not serialized
   // (restore resumes at the latest stamp), so watermark propagation
   // cannot perturb snapshot byte-identity with the strict sorted feed.

@@ -9,10 +9,28 @@
 namespace rl0 {
 namespace serve {
 
-bool WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+namespace {
+
+/// The scratch name a file is written under before it is renamed into
+/// place. Readers never open it, so crash debris there is ignored.
+std::string TempName(const std::string& path) { return path + ".tmp"; }
+
+bool WriteTemp(const std::string& path, const std::string& bytes) {
+  std::ofstream out(TempName(path), std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return static_cast<bool>(out);
+}
+
+bool RenameTemp(const std::string& path) {
+  std::error_code ec;
+  std::filesystem::rename(TempName(path), path, ec);
+  return !ec;
+}
+
+}  // namespace
+
+bool WriteFileBytes(const std::string& path, const std::string& bytes) {
+  return WriteTemp(path, bytes) && RenameTemp(path);
 }
 
 Result<std::string> ReadFileBytes(const std::string& path) {
@@ -96,14 +114,6 @@ PoolCheckpointer::~PoolCheckpointer() {
 }
 
 Status PoolCheckpointer::Rebase() {
-  // The stale deltas chain against the pre-crash epoch; remove them
-  // before the fresh full cut overwrites ckpt-000000.full, so a crash
-  // mid-rebase can never leave a full base next to foreign deltas.
-  for (size_t i = 1;; ++i) {
-    const std::string name = CheckpointFileName(dir_, i, /*full=*/false);
-    std::error_code ec;
-    if (!std::filesystem::remove(name, ec)) break;
-  }
   chain_.clear();
   cuts_ = 0;
   const Status status = Cut();  // full (chain_ empty), continuing seq
@@ -139,7 +149,25 @@ Status PoolCheckpointer::Cut() {
     chain_ = blob;
   }
   if (!status.ok()) return status;
-  if (!WriteFileBytes(CheckpointFileName(dir_, cuts_, full), blob) ||
+  // Every file lands under its final name by rename, so a crash mid-write
+  // leaves only a *.tmp file that LoadCheckpointChain never reads.
+  const std::string name = CheckpointFileName(dir_, cuts_, full);
+  const bool written = WriteTemp(name, blob);
+  if (written && full) {
+    // Deltas already on disk chain against an older base (a recovered
+    // pool's pre-crash epoch, or a previous run in this directory).
+    // Remove them after the new base is safely in its temp file and
+    // before it replaces ckpt-000000.full: a crash in between leaves the
+    // old base and the whole journal, which still recover exactly, and
+    // never a new base next to foreign deltas.
+    for (size_t i = 1;; ++i) {
+      std::error_code ec;
+      if (!std::filesystem::remove(CheckpointFileName(dir_, i, false), ec)) {
+        break;
+      }
+    }
+  }
+  if (!written || !RenameTemp(name) ||
       !WriteFileBytes(dir_ + "/journal.log", journal_)) {
     return Status::Internal("cannot write checkpoint files in '" + dir_ +
                             "'");

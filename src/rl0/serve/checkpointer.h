@@ -20,6 +20,12 @@
 // ckpt-000000.full (with the continuing journal sequence) and deletes
 // the stale delta files. Skipping the rebase and cutting a delta first
 // would chain it to a base the recovered state no longer matches.
+//
+// Atomic files: every file is written to `<name>.tmp` and renamed over
+// `<name>`, so a process killed mid-cut leaves the previous chain intact
+// plus a *.tmp file that LoadCheckpointChain ignores. Syncing to stable
+// storage (fsync) is out of scope: a rename survives a process crash,
+// not necessarily a power loss.
 
 #ifndef RL0_SERVE_CHECKPOINTER_H_
 #define RL0_SERVE_CHECKPOINTER_H_
@@ -36,8 +42,9 @@
 namespace rl0 {
 namespace serve {
 
-/// Writes `bytes` to `path` (binary, truncating). Returns false on any
-/// I/O failure.
+/// Writes `bytes` to `<path>.tmp`, then renames it over `path`, so a
+/// reader sees either the old file or the complete new one — never a
+/// torn write. Returns false on any I/O failure.
 bool WriteFileBytes(const std::string& path, const std::string& bytes);
 
 /// Reads a whole file as bytes.
@@ -92,8 +99,8 @@ class PoolCheckpointer {
   PoolCheckpointer(const PoolCheckpointer&) = delete;
   PoolCheckpointer& operator=(const PoolCheckpointer&) = delete;
 
-  /// Post-recovery rebase: delete stale delta files, cut a fresh full
-  /// base at the continuing journal sequence (see file comment).
+  /// Post-recovery rebase: cut a fresh full base at the continuing
+  /// journal sequence, deleting the stale delta files (see file comment).
   Status Rebase();
 
   /// Call after feeding; cuts when the fed count crossed the next

@@ -13,13 +13,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rl0/core/checkpoint.h"
 #include "rl0/core/snapshot.h"
+#include "rl0/serve/checkpointer.h"
 #include "rl0/util/rng.h"
 
 namespace rl0 {
@@ -373,6 +379,84 @@ TEST(CrashRecoveryTest, LateFeedJournalReplaysWatermarkRecords) {
       EXPECT_EQ(ShardBlobs(a.value()), ShardBlobs(b.value()));
     }
   }
+}
+
+TEST(CrashRecoveryTest, CheckpointFilesAreAtomicAndTempDebrisIsIgnored) {
+  // serve::PoolCheckpointer writes every file as <name>.tmp and renames
+  // it into place: a completed run leaves no temp file, and a process
+  // killed mid-write leaves only a truncated temp file that
+  // LoadCheckpointChain never reads — recovery is unchanged by it. A
+  // full cut also removes the deltas of the chain it replaces.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("rl0_atomic_ckpt_" + std::to_string(static_cast<long>(::getpid())));
+  fs::remove_all(dir);
+  const std::vector<Point> points = Revisits(3000, 40, 61);
+  size_t cuts = 0;
+  {
+    auto pool = ShardedSwSamplerPool::Create(PoolOptions(7), 400, 2).value();
+    serve::PoolCheckpointer ckpt(&pool, dir.string(), /*every=*/512,
+                                 /*dim=*/1);
+    const Span<const Point> all(points);
+    for (size_t offset = 0; offset < all.size(); offset += 300) {
+      pool.Feed(all.subspan(offset, 300));
+      ASSERT_TRUE(ckpt.MaybeCut().ok());
+    }
+    pool.Drain();
+    ASSERT_TRUE(ckpt.Finish().ok());
+    cuts = ckpt.cuts();
+  }
+  ASSERT_GE(cuts, 4u);
+  size_t files = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    ++files;
+  }
+  EXPECT_EQ(files, cuts + 1);  // the chain plus journal.log
+
+  const auto recover = [&dir] {
+    auto chain = serve::LoadCheckpointChain(dir.string());
+    EXPECT_TRUE(chain.ok()) << chain.status().ToString();
+    auto pool = RecoverPool(chain.value().checkpoint, chain.value().journal);
+    EXPECT_TRUE(pool.ok()) << pool.status().ToString();
+    return std::move(pool).value();
+  };
+  ShardedSwSamplerPool clean = recover();
+  EXPECT_EQ(clean.points_processed(), points.size());
+
+  // Crash debris of the next cut: a torn delta and a torn journal, both
+  // still under their temp names.
+  const std::string torn_delta =
+      serve::CheckpointFileName(dir.string(), cuts, /*full=*/false) + ".tmp";
+  {
+    auto chain = serve::LoadCheckpointChain(dir.string());
+    ASSERT_TRUE(chain.ok());
+    std::ofstream(torn_delta, std::ios::binary)
+        << chain.value().checkpoint.substr(0, 37);
+    std::ofstream((dir / "journal.log.tmp").string(), std::ios::binary)
+        << chain.value().journal.substr(0, 11);
+  }
+  ShardedSwSamplerPool with_debris = recover();
+  EXPECT_EQ(ShardBlobs(with_debris), ShardBlobs(clean));
+  ExpectLockstepDraws(&with_debris, &clean);
+
+  // A shorter run reusing the directory: its full cut must retire the
+  // longer chain's deltas, or recovery would try to fold them onto the
+  // new base.
+  {
+    auto pool = ShardedSwSamplerPool::Create(PoolOptions(8), 400, 2).value();
+    serve::PoolCheckpointer ckpt(&pool, dir.string(), /*every=*/512,
+                                 /*dim=*/1);
+    pool.Feed(Span<const Point>(points.data(), 700));
+    ASSERT_TRUE(ckpt.MaybeCut().ok());
+    pool.Drain();
+    ASSERT_TRUE(ckpt.Finish().ok());
+    ASSERT_LT(ckpt.cuts(), cuts);
+    ShardedSwSamplerPool rerun = recover();
+    EXPECT_EQ(ShardBlobs(rerun), ShardBlobs(pool));
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

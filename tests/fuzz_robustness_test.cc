@@ -375,9 +375,9 @@ TEST(FuzzTest, SwDupFilterStaysIdenticalThroughExpiryAndSplitWaves) {
 }
 
 TEST(FuzzTest, DeltaFoldNeverCrashesOnMalformedInputs) {
-  // ApplySamplerDelta / ApplySamplerDeltaSW over random bytes, byte
-  // mutations of both operands, and truncations: a clean Status every
-  // time, and an accepted fold must itself restore.
+  // ApplySamplerDeltaSW over random bytes, byte mutations of both
+  // operands, and truncations: a clean Status every time, and an accepted
+  // fold must itself restore.
   SamplerOptions opts;
   opts.dim = 2;
   opts.alpha = 1.0;
@@ -385,69 +385,43 @@ TEST(FuzzTest, DeltaFoldNeverCrashesOnMalformedInputs) {
   opts.accept_cap = 8;
   opts.expected_stream_length = 2048;
 
-  auto iw = RobustL0SamplerIW::Create(opts).value();
-  for (int i = 0; i < 150; ++i) iw.Insert(Point{9.0 * (i % 20), 1.0 * i});
-  std::string iw_base;
-  ASSERT_TRUE(SnapshotSamplerFull(&iw, &iw_base).ok());
-  for (int i = 0; i < 150; ++i) iw.Insert(Point{9.0 * (i % 31), -2.0 * i});
-  std::string iw_delta;
-  ASSERT_TRUE(
-      SnapshotSamplerDelta(&iw, SnapshotChainChecksum(iw_base), &iw_delta)
-          .ok());
-
   auto sw = RobustL0SamplerSW::Create(opts, 64).value();
   for (int i = 0; i < 150; ++i) sw.Insert(Point{9.0 * (i % 20), 1.0 * i}, i);
-  std::string sw_base;
-  ASSERT_TRUE(SnapshotSamplerFullSW(&sw, &sw_base).ok());
+  std::string base;
+  ASSERT_TRUE(SnapshotSamplerFullSW(&sw, &base).ok());
   for (int i = 150; i < 300; ++i) {
     sw.Insert(Point{9.0 * (i % 31), -2.0 * i}, i);
   }
-  std::string sw_delta;
+  std::string delta;
   ASSERT_TRUE(
-      SnapshotSamplerDeltaSW(&sw, SnapshotChainChecksum(sw_base), &sw_delta)
-          .ok());
+      SnapshotSamplerDeltaSW(&sw, SnapshotChainChecksum(base), &delta).ok());
 
   Xoshiro256pp rng(52);
   for (int trial = 0; trial < 400; ++trial) {
     std::string out;
-    (void)ApplySamplerDelta(iw_base, RandomBytes(rng.NextBounded(300), &rng),
-                            &out);
-    (void)ApplySamplerDeltaSW(sw_base, RandomBytes(rng.NextBounded(300), &rng),
+    (void)ApplySamplerDeltaSW(base, RandomBytes(rng.NextBounded(300), &rng),
                               &out);
   }
-  const auto fuzz_pair = [&rng](const std::string& base,
-                                const std::string& delta, bool sliding) {
-    for (int trial = 0; trial < 400; ++trial) {
-      std::string mut_base = base;
-      std::string mut_delta = delta;
-      std::string& victim = trial % 2 == 0 ? mut_delta : mut_base;
-      const size_t mutations = 1 + rng.NextBounded(4);
-      for (size_t m = 0; m < mutations; ++m) {
-        victim[rng.NextBounded(victim.size())] =
-            static_cast<char>(rng() & 0xFF);
-      }
-      std::string out;
-      const Status status = sliding
-                                ? ApplySamplerDeltaSW(mut_base, mut_delta, &out)
-                                : ApplySamplerDelta(mut_base, mut_delta, &out);
-      if (status.ok()) {
-        // Mutation-neutral (or checksum-consistent): the fold must be a
-        // restorable full blob.
-        EXPECT_TRUE(sliding ? RestoreSamplerSW(out).ok()
-                            : RestoreSampler(out).ok());
-      }
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string mut_base = base;
+    std::string mut_delta = delta;
+    std::string& victim = trial % 2 == 0 ? mut_delta : mut_base;
+    const size_t mutations = 1 + rng.NextBounded(4);
+    for (size_t m = 0; m < mutations; ++m) {
+      victim[rng.NextBounded(victim.size())] = static_cast<char>(rng() & 0xFF);
     }
-    for (size_t len = 0; len < delta.size(); len += 5) {
-      std::string out;
-      const std::string cut = delta.substr(0, len);
-      EXPECT_FALSE((sliding ? ApplySamplerDeltaSW(base, cut, &out)
-                            : ApplySamplerDelta(base, cut, &out))
-                       .ok())
-          << len;
+    std::string out;
+    if (ApplySamplerDeltaSW(mut_base, mut_delta, &out).ok()) {
+      // Mutation-neutral (or checksum-consistent): the fold must be a
+      // restorable full blob.
+      EXPECT_TRUE(RestoreSamplerSW(out).ok());
     }
-  };
-  fuzz_pair(iw_base, iw_delta, /*sliding=*/false);
-  fuzz_pair(sw_base, sw_delta, /*sliding=*/true);
+  }
+  for (size_t len = 0; len < delta.size(); len += 5) {
+    std::string out;
+    EXPECT_FALSE(ApplySamplerDeltaSW(base, delta.substr(0, len), &out).ok())
+        << len;
+  }
 }
 
 TEST(FuzzTest, JournalReaderNeverCrashesAndPrefixIsIdempotent) {

@@ -377,24 +377,29 @@ TEST(MetamorphicTest, SwArrivalOrderWithinBoundIsInvariantSerial) {
     std::vector<int64_t> stamps;
     SplitStamped(arrival, &points, &stamps);
 
-    auto late_fed =
-        RobustL0SamplerSW::Create(LatenessOptions(43, kLateness), kWindow)
-            .value();
+    // The pool's reorder stage is the only bounded-lateness front end;
+    // one lane sees the whole released stream, arrival by arrival.
+    auto late_fed = ShardedSwSamplerPool::Create(
+                        LatenessOptions(43, kLateness), kWindow, 1)
+                        .value();
     for (size_t i = 0; i < points.size(); ++i) {
-      late_fed.InsertStampedLate(points[i], stamps[i]);
+      late_fed.FeedStampedLate(Span<const Point>(&points[i], 1),
+                               Span<const int64_t>(&stamps[i], 1));
     }
     late_fed.FlushLate();
+    late_fed.Drain();
     EXPECT_EQ(late_fed.late_stats().late_dropped, 0u);
 
     // Snapshot bytes: bit-identical state (reservoirs, coin streams,
     // stamp lists — everything serialized).
     std::string blob;
-    ASSERT_TRUE(SnapshotSamplerSW(late_fed, &blob).ok());
+    ASSERT_TRUE(SnapshotSamplerSW(late_fed.shard(0), &blob).ok());
     EXPECT_EQ(blob, reference_blob);
 
     // Accepted window set and reservoir-backed draws.
     std::vector<SampleItem> accepted;
-    late_fed.AcceptedWindowItems(late_fed.watermark(), &accepted);
+    late_fed.shard(0).AcceptedWindowItems(late_fed.shard(0).watermark(),
+                                          &accepted);
     ASSERT_EQ(accepted.size(), reference_accepted.size());
     for (size_t i = 0; i < accepted.size(); ++i) {
       EXPECT_EQ(accepted[i].point, reference_accepted[i].point);

@@ -17,11 +17,12 @@
 //      never silently lost: drop counters / side-channel deliveries
 //      reconcile exactly with the input size.
 //
-//   3. Sampler-level equivalence: a RobustL0SamplerSW fed a disordered
-//      stream through InsertStampedLate must end bit-identical
-//      (snapshot bytes, sample draws) to one fed the canonically sorted
-//      stream through the strict path, and its window membership must
-//      agree with the exact NaiveWindowSampler ground truth fed sorted.
+//   3. Sampler-level equivalence: a one-lane ShardedSwSamplerPool fed a
+//      disordered stream through FeedStampedLate (the only reorder front
+//      end) must end bit-identical (lane snapshot bytes, sample draws)
+//      to a RobustL0SamplerSW fed the canonically sorted stream through
+//      the strict path, and its window membership must agree with the
+//      exact NaiveWindowSampler ground truth fed sorted.
 //
 //   4. Watermark-stall edges: event time advances past the last
 //      released point (queries expire state the releases alone would
@@ -412,12 +413,14 @@ TEST(ReorderSamplerTest, LateFeedIsBitIdenticalToStrictSortedFeed) {
     std::vector<int64_t> stamps;
     DisorderedStream(1500, 40, lateness, 21 + lateness, &points, &stamps);
 
-    auto late_fed = RobustL0SamplerSW::Create(LateOptions(5, lateness), 50)
-                        .value();
+    auto late_fed =
+        ShardedSwSamplerPool::Create(LateOptions(5, lateness), 50, 1).value();
     for (size_t i = 0; i < points.size(); ++i) {
-      late_fed.InsertStampedLate(points[i], stamps[i]);
+      late_fed.FeedStampedLate(Span<const Point>(&points[i], 1),
+                               Span<const int64_t>(&stamps[i], 1));
     }
     late_fed.FlushLate();
+    late_fed.Drain();
     EXPECT_EQ(late_fed.late_stats().late_dropped, 0u);
     EXPECT_EQ(late_fed.late_stats().released, points.size());
 
@@ -434,7 +437,7 @@ TEST(ReorderSamplerTest, LateFeedIsBitIdenticalToStrictSortedFeed) {
     // watermark are scratch state, never serialized.
     std::string late_blob;
     std::string strict_blob;
-    ASSERT_TRUE(SnapshotSamplerSW(late_fed, &late_blob).ok());
+    ASSERT_TRUE(SnapshotSamplerSW(late_fed.shard(0), &late_blob).ok());
     ASSERT_TRUE(SnapshotSamplerSW(strict, &strict_blob).ok());
     EXPECT_EQ(late_blob, strict_blob);
 
@@ -474,11 +477,14 @@ TEST(ReorderSamplerTest, WindowMembershipMatchesNaiveGroundTruth) {
   }
 
   auto sampler =
-      RobustL0SamplerSW::Create(LateOptions(3, lateness), window).value();
+      ShardedSwSamplerPool::Create(LateOptions(3, lateness), window, 1)
+          .value();
   for (size_t i = 0; i < points.size(); ++i) {
-    sampler.InsertStampedLate(points[i], stamps[i]);
+    sampler.FeedStampedLate(Span<const Point>(&points[i], 1),
+                            Span<const int64_t>(&stamps[i], 1));
   }
   sampler.FlushLate();
+  sampler.Drain();
   const ReorderStats stats = sampler.late_stats();
   const ReferenceSplit ref = SplitByLateness(points, stamps, lateness);
   EXPECT_EQ(stats.late_dropped, ref.late.size());
@@ -492,10 +498,10 @@ TEST(ReorderSamplerTest, WindowMembershipMatchesNaiveGroundTruth) {
     naive.Insert(sorted_points[i], sorted_stamps[i]);
   }
 
-  const int64_t now = sampler.watermark();
+  const int64_t now = sampler.now();
   EXPECT_EQ(now, *std::max_element(stamps.begin(), stamps.end()));
-  std::vector<SampleItem> accepted;
-  sampler.AcceptedWindowItems(now, &accepted);
+  EXPECT_EQ(sampler.shard(0).watermark(), now);
+  const std::vector<SampleItem> accepted = sampler.MergedWindowItems(now);
   const size_t alive = naive.GroupsAlive(now);
   if (alive == 0) {
     EXPECT_TRUE(accepted.empty());
@@ -511,7 +517,9 @@ TEST(ReorderSamplerTest, WindowMembershipMatchesNaiveGroundTruth) {
   }
   Xoshiro256pp rng(SplitMix64(9));
   const auto draw = sampler.SampleLatest(&rng);
-  if (alive == 0) EXPECT_FALSE(draw.has_value());
+  if (alive == 0) {
+    EXPECT_FALSE(draw.has_value());
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -522,25 +530,36 @@ TEST(ReorderWatermarkTest, EventTimeAdvancesPastTheLastRelease) {
   // Window 50, lateness 10. A buffered-but-unreleased arrival still
   // advances event time via the watermark, expiring state that the
   // released prefix alone would keep alive.
-  auto sampler = RobustL0SamplerSW::Create(LateOptions(1, 10), 50).value();
+  auto sampler =
+      ShardedSwSamplerPool::Create(LateOptions(1, 10), 50, 1).value();
   Xoshiro256pp rng(SplitMix64(4));
+  const auto offer = [&sampler](double x, int64_t stamp) {
+    const Point p = P(x);
+    sampler.FeedStampedLate(Span<const Point>(&p, 1),
+                            Span<const int64_t>(&stamp, 1));
+    sampler.Drain();
+  };
 
-  sampler.InsertStampedLate(P(1), 100);
+  offer(1, 100);
   // Nothing released yet (frontier 90), but the watermark is 90.
   EXPECT_EQ(sampler.points_processed(), 0u);
-  EXPECT_EQ(sampler.watermark(), 90);
+  EXPECT_EQ(sampler.shard(0).watermark(), 90);
+  EXPECT_EQ(sampler.now(), 90);
   EXPECT_FALSE(sampler.SampleLatest(&rng).has_value());
 
-  sampler.InsertStampedLate(P(2), 200);
+  offer(2, 200);
   // Frontier 190 releases the stamp-100 point; event time is now 190,
   // so its window (140, 190] has already expired it.
   EXPECT_EQ(sampler.points_processed(), 1u);
-  EXPECT_EQ(sampler.watermark(), 190);
+  EXPECT_EQ(sampler.shard(0).watermark(), 190);
+  EXPECT_EQ(sampler.now(), 190);
   EXPECT_FALSE(sampler.SampleLatest(&rng).has_value());
 
   sampler.FlushLate();
+  sampler.Drain();
   // The stamp-200 point lands; event time 200; the window holds it.
-  EXPECT_EQ(sampler.watermark(), 200);
+  EXPECT_EQ(sampler.shard(0).watermark(), 200);
+  EXPECT_EQ(sampler.now(), 200);
   const auto draw = sampler.SampleLatest(&rng);
   ASSERT_TRUE(draw.has_value());
   EXPECT_EQ(draw->point, P(2));

@@ -9,6 +9,9 @@
 # " stamp N" (it keeps the full stamp array; the server does not), so
 # that suffix is stripped from the CLI side before diffing.
 #
+# It ends with a one-shard `rl0_cli sample --checkpoint-dir` run whose
+# `rl0_cli recover` output must match the run's own samples.
+#
 # Usage: tools/ci_serve_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -106,4 +109,18 @@ grep -q "shutting down" "$TMP/server.log" || {
   cat "$TMP/server.log" >&2
   exit 1
 }
+# One-shard CLI durability round trip: checkpointing works at any shard
+# count, and `recover` must reproduce the sampled run byte for byte.
+"$BUILD/rl0_cli" sample --alpha 0.5 --window 2000 --shards 1 --seed 42 \
+  --queries 3 --checkpoint-dir "$TMP/cli1" --checkpoint-every 512 \
+  "$TMP/seq.csv" 2> /dev/null > "$TMP/cli1.sample"
+"$BUILD/rl0_cli" recover --checkpoint-dir "$TMP/cli1" --seed 42 \
+  --queries 3 2> /dev/null > "$TMP/cli1.recover"
+[[ -s "$TMP/cli1.sample" ]] || {
+  echo "smoke: one-shard CLI run produced no samples" >&2; exit 1;
+}
+diff -u "$TMP/cli1.sample" "$TMP/cli1.recover" || {
+  echo "smoke: one-shard CLI recover diverged from its run" >&2; exit 1;
+}
+
 echo "smoke: all three modes byte-identical to rl0_cli; recover OK"

@@ -10,14 +10,15 @@
 // reads CSV point streams (one point per line; see rl0/stream/csv.h) from
 // a file or stdin ("-").
 
+#include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "rl0/baseline/exact_partition.h"
@@ -26,7 +27,6 @@
 #include "rl0/core/iw_sampler.h"
 #include "rl0/core/reorder_buffer.h"
 #include "rl0/core/sharded_pool.h"
-#include "rl0/core/sw_sampler.h"
 #include "rl0/serve/checkpointer.h"
 #include "rl0/stream/csv.h"
 #include "rl0/stream/generators.h"
@@ -47,35 +47,34 @@ commands:
             [--no-filter] [--lateness L]
             [--checkpoint-dir D [--checkpoint-every N]]
             Draw Q robust l0-samples (default 1). With --window W, sample
-            from the last W points instead of the whole stream. With
-            --shards S > 1, ingest through the persistent S-worker
-            pipeline and sample from the merged shards (works with and
-            without --window; the windowed pool stamps points with their
-            global stream position). With --window W --time, the window
-            is time-based: the CSV gains a leading integer stamp column
+            from the last W points instead of the whole stream. Points
+            ingest through a persistent pipeline of S worker lanes
+            (--shards, default 1) and samples come from the merged
+            lanes; the windowed pool stamps points with their global
+            stream position. With --window W --time, the window is
+            time-based: the CSV gains a leading integer stamp column
             (non-decreasing arrival times) and W counts time units, not
-            points; sharded ingestion routes the stamps through the
-            pipeline's stamped chunks. With --time --lateness L > 0, the
-            stamp column may instead run up to L time units behind its
-            running maximum: a bounded-lateness reorder stage restores
-            sorted order (and propagates watermarks) before feeding, so
-            the output is identical to sampling the stamp-sorted file.
+            points. With --time --lateness L > 0, the stamp column may
+            instead run up to L time units behind its running maximum:
+            the pool's bounded-lateness reorder stage restores sorted
+            order (and propagates watermarks) before feeding, so the
+            output is identical to sampling the stamp-sorted file.
             Rows beyond the bound are a line-numbered parse error.
-            With --checkpoint-dir D (pool paths: --window with
-            --shards > 1), every fed chunk is journaled to D/journal.log
-            and a checkpoint chain is cut into D — ckpt-000000.full,
-            then incremental ckpt-NNNNNN.delta files every N points
-            (--checkpoint-every; default: one final cut at end of
-            stream). `recover` rebuilds the pool from those files.
+            With --checkpoint-dir D (needs --window), every fed chunk is
+            journaled to D/journal.log and a checkpoint chain is cut
+            into D — ckpt-000000.full, then incremental
+            ckpt-NNNNNN.delta files every N points (--checkpoint-every;
+            default: one final cut at end of stream). `recover`
+            rebuilds the pool from those files.
   recover   --checkpoint-dir D [--queries Q] [--seed S]
             Rebuild a pool from D: fold the delta chain onto the full
             checkpoint, replay the journal's surviving suffix (torn
             tails from a crash are fine), and draw Q samples from the
             recovered window — bit-identical to a run that never went
             down (see core/checkpoint.h for the exact contract).
-  count     --alpha A [--epsilon E] [--seed S] [--parallel] [--no-filter]
-            (1+E)-approximate the number of distinct entities. With
-            --parallel, the estimator copies ingest on pipeline workers.
+  count     --alpha A [--epsilon E] [--seed S] [--no-filter]
+            (1+E)-approximate the number of distinct entities. The
+            estimator copies ingest as lanes of one pipeline.
   stats     --alpha A
             Exact group partition statistics (quadratic; small inputs).
   generate  --dataset rand5|rand20|yacht|seeds [--powerlaw] [--seed S]
@@ -108,7 +107,6 @@ struct Args {
   uint64_t checkpoint_every = 0;
   bool powerlaw = false;
   bool reservoir = false;
-  bool parallel = false;
   bool time = false;
   bool no_filter = false;
   uint32_t max_gap = 4;
@@ -125,6 +123,10 @@ int Fail(const std::string& message) {
   return 2;
 }
 
+/// Upper bound of the int64-valued flags: below 2^63, so the cast from
+/// double is defined.
+constexpr double kMaxInt64Flag = 9e18;
+
 bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
   if (argc < 2) {
     *error = "missing command (try `rl0_cli help`)";
@@ -133,115 +135,66 @@ bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
   args->command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&](double* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::atof(argv[++i]);
-      return true;
-    };
     const auto next_str = [&](std::string* out) {
-      if (i + 1 >= argc) return false;
+      if (i + 1 >= argc) {
+        *error = arg + " needs a value";
+        return false;
+      }
       *out = argv[++i];
       return true;
     };
+    // Every numeric flag: the whole value must parse, lie in [lo, hi]
+    // and, for an integer field, be whole — so the cast below is always
+    // defined.
+    const auto number = [&](auto* out, double lo, double hi) {
+      using T = std::remove_pointer_t<decltype(out)>;
+      constexpr bool kIntegral = std::is_integral<T>::value;
+      std::string text;
+      if (!next_str(&text)) return false;
+      char* end = nullptr;
+      const double v = std::strtod(text.c_str(), &end);
+      if (text.empty() || *end != '\0' || !(v >= lo && v <= hi) ||
+          (kIntegral && v != std::floor(v))) {
+        char range[64];
+        std::snprintf(range, sizeof(range), " in [%g, %g]", lo, hi);
+        *error = arg + " must be " + (kIntegral ? "an integer" : "a number") +
+                 range + ", got '" + text + "'";
+        return false;
+      }
+      *out = static_cast<T>(v);
+      return true;
+    };
+    bool ok = true;
     if (arg == "--alpha") {
-      if (!next(&args->alpha)) {
-        *error = "--alpha needs a value";
-        return false;
-      }
+      ok = number(&args->alpha, 0.0, DBL_MAX);
     } else if (arg == "--epsilon") {
-      if (!next(&args->epsilon)) {
-        *error = "--epsilon needs a value";
-        return false;
-      }
+      ok = number(&args->epsilon, 0.0, 1.0);
     } else if (arg == "--seed") {
-      double v;
-      if (!next(&v)) {
-        *error = "--seed needs a value";
-        return false;
-      }
-      args->seed = static_cast<uint64_t>(v);
+      ok = number(&args->seed, 0.0, 1.8e19);
     } else if (arg == "--k") {
-      double v;
-      if (!next(&v)) {
-        *error = "--k needs a value";
-        return false;
-      }
-      args->k = static_cast<size_t>(v);
+      ok = number(&args->k, 1.0, 1e6);
     } else if (arg == "--window") {
-      double v;
-      if (!next(&v)) {
-        *error = "--window needs a value";
-        return false;
-      }
-      args->window = static_cast<int64_t>(v);
+      ok = number(&args->window, 1.0, kMaxInt64Flag);
     } else if (arg == "--queries") {
-      double v;
-      if (!next(&v)) {
-        *error = "--queries needs a value";
-        return false;
-      }
-      args->queries = static_cast<int>(v);
-    } else if (arg == "--metric") {
-      if (!next_str(&args->metric)) {
-        *error = "--metric needs a value";
-        return false;
-      }
-    } else if (arg == "--dataset") {
-      if (!next_str(&args->dataset)) {
-        *error = "--dataset needs a value";
-        return false;
-      }
-    } else if (arg == "--checkpoint-dir") {
-      if (!next_str(&args->checkpoint_dir)) {
-        *error = "--checkpoint-dir needs a directory";
-        return false;
-      }
+      ok = number(&args->queries, 0.0, 1e9);
     } else if (arg == "--checkpoint-every") {
-      double v;
-      if (!next(&v)) {
-        *error = "--checkpoint-every needs a value";
-        return false;
-      }
-      if (!(v >= 1.0 && v <= 9e18)) {  // cast of a negative/huge double is UB
-        *error = "--checkpoint-every must be in [1, 9e18]";
-        return false;
-      }
-      args->checkpoint_every = static_cast<uint64_t>(v);
+      ok = number(&args->checkpoint_every, 1.0, kMaxInt64Flag);
     } else if (arg == "--shards") {
-      double v;
-      if (!next(&v)) {
-        *error = "--shards needs a value";
-        return false;
-      }
-      args->shards = static_cast<size_t>(v);
+      ok = number(&args->shards, 1.0, 1024.0);
     } else if (arg == "--lateness") {
-      double v;
-      if (!next(&v)) {
-        *error = "--lateness needs a value";
-        return false;
-      }
-      if (!(v >= 0.0 && v <= 9e18)) {  // cast of a negative/huge double is UB
-        *error = "--lateness must be in [0, 9e18]";
-        return false;
-      }
-      args->lateness = static_cast<int64_t>(v);
+      ok = number(&args->lateness, 0.0, kMaxInt64Flag);
     } else if (arg == "--max-gap") {
-      double v;
-      if (!next(&v)) {
-        *error = "--max-gap needs a value";
-        return false;
-      }
-      if (!(v >= 1.0 && v <= 1e9)) {  // cast of a negative/huge double is UB
-        *error = "--max-gap must be in [1, 1e9]";
-        return false;
-      }
-      args->max_gap = static_cast<uint32_t>(v);
+      ok = number(&args->max_gap, 1.0, 1e9);
+    } else if (arg == "--metric") {
+      ok = next_str(&args->metric);
+    } else if (arg == "--dataset") {
+      ok = next_str(&args->dataset);
+    } else if (arg == "--checkpoint-dir") {
+      ok = next_str(&args->checkpoint_dir);
     } else if (arg == "--time") {
       args->time = true;
     } else if (arg == "--no-filter") {
       args->no_filter = true;
-    } else if (arg == "--parallel") {
-      args->parallel = true;
     } else if (arg == "--powerlaw") {
       args->powerlaw = true;
     } else if (arg == "--reservoir") {
@@ -254,6 +207,7 @@ bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
     } else {
       args->file = arg;
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -263,7 +217,7 @@ rl0::Result<std::vector<Point>> LoadPoints(const Args& args) {
   return rl0::ReadCsvPoints(args.file);
 }
 
-// ------------------------------------------- checkpointing (pool paths)
+// --------------------------------------------------------- checkpointing
 
 /// The journal + incremental-chain machinery lives in
 /// rl0/serve/checkpointer.h so the standing-query server shares the
@@ -319,141 +273,128 @@ rl0::Result<rl0::Metric> ParseMetric(const std::string& name) {
   return rl0::Status::InvalidArgument("unknown metric '" + name + "'");
 }
 
-/// `sample --window W --time`: time-based windows over a stamped CSV
-/// stream (leading integer stamp column). Pointwise for one shard; the
-/// stamped pipeline chunks (adaptively sized) for several.
-int RunSampleTime(const Args& args, rl0::Metric metric) {
-  if (args.window <= 0) return Fail("--time requires --window W > 0");
-  rl0::Result<rl0::StampedCsv> stream =
-      args.file == "-" ? rl0::ParseCsvStampedPoints(std::cin, args.lateness)
-                       : rl0::ReadCsvStampedPoints(args.file, args.lateness);
-  if (!stream.ok()) return Fail(stream.status().ToString());
-  const std::vector<Point>& points = stream.value().points;
-  const std::vector<int64_t>& stamps = stream.value().stamps;
-  if (points.empty()) return Fail("no points in input");
+/// `sample --window W`: the windowed pool. Sequence-stamped by global
+/// stream position, or — with `stamps` non-null (--time) — time-stamped,
+/// through the pool's reorder stage when --lateness > 0. Fixed chunks,
+/// so checkpoint cuts land between feeds.
+int RunSampleWindow(const Args& args, const rl0::SamplerOptions& opts,
+                    const std::vector<Point>& points,
+                    const std::vector<int64_t>* stamps) {
+  auto created =
+      rl0::ShardedSwSamplerPool::Create(opts, args.window, args.shards);
+  if (!created.ok()) return Fail(created.status().ToString());
+  rl0::ShardedSwSamplerPool pool = std::move(created).value();
+  std::unique_ptr<PoolCheckpointer> ckpt;
+  if (!args.checkpoint_dir.empty()) {
+    ckpt = std::make_unique<PoolCheckpointer>(&pool, args.checkpoint_dir,
+                                              args.checkpoint_every, opts.dim);
+  }
+  const rl0::Span<const Point> all_points(points);
+  const size_t chunk = 4096;
+  for (size_t offset = 0; offset < all_points.size(); offset += chunk) {
+    const rl0::Span<const Point> part = all_points.subspan(offset, chunk);
+    if (stamps == nullptr) {
+      pool.FeedBorrowed(part);
+    } else if (args.lateness > 0) {
+      pool.FeedStampedLate(part,
+                           rl0::Span<const int64_t>(*stamps).subspan(offset,
+                                                                     chunk));
+    } else {
+      pool.FeedBorrowedStamped(
+          part, rl0::Span<const int64_t>(*stamps).subspan(offset, chunk));
+    }
+    if (ckpt && !CheckpointOk(ckpt->MaybeCut())) return 2;
+  }
+  pool.FlushLate();  // no-op unless the reorder stage was engaged
+  pool.Drain();
+  if (ckpt && !CheckpointOk(ckpt->Finish())) return 2;
 
-  rl0::SamplerOptions opts;
-  opts.dim = points[0].dim();
-  opts.alpha = args.alpha;
-  opts.metric = metric;
-  opts.seed = args.seed;
-  opts.k = args.k;
-  opts.random_representative = args.reservoir;
-  opts.expected_stream_length = points.size();
-  opts.dup_filter = !args.no_filter;
-  opts.allowed_lateness = args.lateness;
-
-  // On the bounded-lateness path the samplers see the reorder stage's
+  // On the bounded-lateness path the lanes see the reorder stage's
   // released sequence, so a sampled stream_index addresses the
   // canonically sorted stream, not the file order — and the parse bound
   // guarantees nothing is beyond-bound, so the released sequence is
   // exactly the canonical sort of the whole file. Report (and run the
-  // expiry self-check) against that sequence.
-  std::vector<Point> sorted_points;
-  std::vector<int64_t> sorted_stamps;
-  if (args.lateness > 0) {
-    sorted_points = points;
-    sorted_stamps = stamps;
-    rl0::ReorderStage::SortCanonical(&sorted_points, &sorted_stamps);
+  // expiry self-check) against that sequence; the canonical order is
+  // stamp-major, so sorting the stamps alone yields its stamps.
+  std::vector<int64_t> fed_stamps;
+  if (stamps != nullptr) {
+    fed_stamps = *stamps;
+    std::sort(fed_stamps.begin(), fed_stamps.end());
   }
-  const std::vector<int64_t>& fed_stamps =
-      args.lateness > 0 ? sorted_stamps : stamps;
-
   rl0::Xoshiro256pp rng(rl0::SplitMix64(args.seed ^ 0x5175657279ULL));
-  const int64_t query_now = fed_stamps.back();
-  const auto report = [&](const rl0::SampleItem& item) -> int {
-    const int64_t stamp = fed_stamps[item.stream_index];
-    if (stamp <= query_now - args.window) {
-      // Window semantics are a hard guarantee; surfacing an expired
-      // member would mean the sampler (not the data) is broken.
-      return Fail("internal error: expired stamp sampled");
-    }
-    std::printf("%s  # stream position %llu stamp %lld\n",
-                item.point.ToString().c_str(),
-                static_cast<unsigned long long>(item.stream_index),
-                static_cast<long long>(stamp));
-    return 0;
-  };
-
-  if (args.shards > 1) {
-    auto pool = rl0::ShardedSwSamplerPool::Create(opts, args.window,
-                                                  args.shards);
-    if (!pool.ok()) return Fail(pool.status().ToString());
-    rl0::ShardedSwSamplerPool sw_pool = std::move(pool).value();
-    std::unique_ptr<PoolCheckpointer> ckpt;
-    if (!args.checkpoint_dir.empty()) {
-      ckpt = std::make_unique<PoolCheckpointer>(&sw_pool, args.checkpoint_dir,
-                                                args.checkpoint_every,
-                                                opts.dim);
-    }
-    const rl0::Span<const Point> all_points(points);
-    const rl0::Span<const int64_t> all_stamps(stamps);
-    const size_t chunk = 4096;
-    if (args.lateness > 0) {
-      // Bounded-lateness ingestion: the pool's reorder stage restores
-      // sorted order and broadcasts watermarks chunk by chunk.
-      for (size_t offset = 0; offset < all_points.size(); offset += chunk) {
-        sw_pool.FeedStampedLate(all_points.subspan(offset, chunk),
-                                all_stamps.subspan(offset, chunk));
-        if (ckpt && !CheckpointOk(ckpt->MaybeCut())) return 2;
-      }
-      sw_pool.FlushLate();
-    } else {
-      // Fixed chunks, so checkpoint cuts land between feeds.
-      for (size_t offset = 0; offset < all_points.size(); offset += chunk) {
-        sw_pool.FeedStamped(all_points.subspan(offset, chunk),
-                            all_stamps.subspan(offset, chunk));
-        if (ckpt && !CheckpointOk(ckpt->MaybeCut())) return 2;
-      }
-    }
-    sw_pool.Drain();
-    if (ckpt && !CheckpointOk(ckpt->Finish())) return 2;
-    for (int q = 0; q < args.queries; ++q) {
-      const auto sample = sw_pool.SampleLatest(&rng);
-      if (!sample.has_value()) return Fail("window is empty");
-      const int rc = report(*sample);
-      if (rc != 0) return rc;
-    }
-    std::fprintf(stderr,
-                 "[time-based windowed pipeline: %zu shards, %llu points, "
-                 "window=%lld time units, now=%lld, space=%zu words%s]\n",
-                 sw_pool.num_shards(),
-                 static_cast<unsigned long long>(sw_pool.points_processed()),
-                 static_cast<long long>(args.window),
-                 static_cast<long long>(sw_pool.now()),
-                 sw_pool.SpaceWords(),
-                 (FilterNote(sw_pool.FilterStats()) +
-                  LateNote(sw_pool.late_stats()) + CheckpointNote(ckpt.get()))
-                     .c_str());
-    return 0;
-  }
-
-  auto sampler = rl0::RobustL0SamplerSW::Create(opts, args.window);
-  if (!sampler.ok()) return Fail(sampler.status().ToString());
-  rl0::RobustL0SamplerSW sw = std::move(sampler).value();
-  if (args.lateness > 0) {
-    for (size_t i = 0; i < points.size(); ++i) {
-      sw.InsertStampedLate(points[i], stamps[i]);
-    }
-    sw.FlushLate();
-  } else {
-    for (size_t i = 0; i < points.size(); ++i) {
-      sw.Insert(points[i], stamps[i]);
-    }
-  }
   for (int q = 0; q < args.queries; ++q) {
-    const auto sample = sw.SampleLatest(&rng);
+    const auto sample = pool.SampleLatest(&rng);
     if (!sample.has_value()) return Fail("window is empty");
-    const int rc = report(*sample);
-    if (rc != 0) return rc;
+    std::printf("%s  # stream position %llu", sample->point.ToString().c_str(),
+                static_cast<unsigned long long>(sample->stream_index));
+    if (stamps != nullptr) {
+      const int64_t stamp = fed_stamps[sample->stream_index];
+      if (stamp <= fed_stamps.back() - args.window) {
+        // Window semantics are a hard guarantee; surfacing an expired
+        // member would mean the sampler (not the data) is broken.
+        return Fail("internal error: expired stamp sampled");
+      }
+      std::printf(" stamp %lld", static_cast<long long>(stamp));
+    }
+    std::printf("\n");
   }
   std::fprintf(stderr,
-               "[time-based window=%lld time units, now=%lld, "
-               "space=%zu words%s]\n",
+               "[windowed pipeline: %zu shards, %llu points, window=%lld %s, "
+               "now=%lld, space=%zu words%s]\n",
+               pool.num_shards(),
+               static_cast<unsigned long long>(pool.points_processed()),
                static_cast<long long>(args.window),
-               static_cast<long long>(sw.watermark()), sw.SpaceWords(),
-               (FilterNote(sw.filter_stats()) + LateNote(sw.late_stats()))
+               stamps != nullptr ? "time units" : "points",
+               static_cast<long long>(pool.now()), pool.SpaceWords(),
+               (FilterNote(pool.FilterStats()) + LateNote(pool.late_stats()) +
+                CheckpointNote(ckpt.get()))
                    .c_str());
+  return 0;
+}
+
+/// `sample` without --window: the infinite-window pool, queried through
+/// the merge of its lanes.
+int RunSampleInfinite(const Args& args, const rl0::SamplerOptions& opts,
+                      const std::vector<Point>& points) {
+  auto created = rl0::ShardedSamplerPool::Create(opts, args.shards);
+  if (!created.ok()) return Fail(created.status().ToString());
+  rl0::ShardedSamplerPool pool = std::move(created).value();
+  const rl0::Span<const Point> all(points);
+  const size_t chunk = 4096;
+  for (size_t offset = 0; offset < all.size(); offset += chunk) {
+    pool.FeedBorrowed(all.subspan(offset, chunk));
+  }
+  pool.Drain();
+  rl0::Result<rl0::RobustL0SamplerIW> merged = pool.Merged();
+  if (!merged.ok()) return Fail(merged.status().ToString());
+  rl0::RobustL0SamplerIW iw = std::move(merged).value();
+  rl0::Xoshiro256pp rng(rl0::SplitMix64(args.seed ^ 0x5175657279ULL));
+  for (int q = 0; q < args.queries; ++q) {
+    std::vector<rl0::SampleItem> drawn;
+    if (args.k > 1) {
+      auto samples = iw.SampleK(args.k, &rng);
+      if (!samples.ok()) return Fail(samples.status().ToString());
+      drawn = std::move(samples).value();
+    } else {
+      const auto sample = iw.Sample(&rng);
+      if (!sample.has_value()) return Fail("no sample available");
+      drawn.push_back(*sample);
+    }
+    for (const rl0::SampleItem& s : drawn) {
+      std::printf("%s  # stream position %llu\n", s.point.ToString().c_str(),
+                  static_cast<unsigned long long>(s.stream_index));
+    }
+  }
+  // Per-lane front-end counters: the merged sampler's own counters would
+  // list every absorbed point as bypassed.
+  std::fprintf(stderr,
+               "[pipeline: %zu shards, %llu points; groups accepted=%zu "
+               "rejected=%zu R=%llu space=%zu words%s]\n",
+               pool.num_shards(),
+               static_cast<unsigned long long>(pool.points_processed()),
+               iw.accept_size(), iw.reject_size(),
+               static_cast<unsigned long long>(iw.rate_reciprocal()),
+               iw.SpaceWords(), FilterNote(pool.FilterStats()).c_str());
   return 0;
 }
 
@@ -462,144 +403,43 @@ int RunSample(const Args& args) {
   if (args.checkpoint_every > 0 && args.checkpoint_dir.empty()) {
     return Fail("--checkpoint-every requires --checkpoint-dir");
   }
-  if (!args.checkpoint_dir.empty() &&
-      (args.window <= 0 || args.shards <= 1)) {
-    return Fail(
-        "--checkpoint-dir needs a pool path: --window W > 0 and "
-        "--shards > 1");
+  if (!args.checkpoint_dir.empty() && args.window <= 0) {
+    return Fail("--checkpoint-dir needs --window W > 0");
+  }
+  if (args.time && args.window <= 0) {
+    return Fail("--time requires --window W > 0");
   }
   const auto metric = ParseMetric(args.metric);
   if (!metric.ok()) return Fail(metric.status().ToString());
-  if (args.time) return RunSampleTime(args, metric.value());
-  const auto points = LoadPoints(args);
-  if (!points.ok()) return Fail(points.status().ToString());
-  if (points.value().empty()) return Fail("no points in input");
+
+  std::vector<Point> points;
+  std::vector<int64_t> stamps;
+  if (args.time) {
+    rl0::Result<rl0::StampedCsv> stream =
+        args.file == "-" ? rl0::ParseCsvStampedPoints(std::cin, args.lateness)
+                         : rl0::ReadCsvStampedPoints(args.file, args.lateness);
+    if (!stream.ok()) return Fail(stream.status().ToString());
+    points = std::move(stream.value().points);
+    stamps = std::move(stream.value().stamps);
+  } else {
+    auto loaded = LoadPoints(args);
+    if (!loaded.ok()) return Fail(loaded.status().ToString());
+    points = std::move(loaded).value();
+  }
+  if (points.empty()) return Fail("no points in input");
 
   rl0::SamplerOptions opts;
-  opts.dim = points.value()[0].dim();
+  opts.dim = points[0].dim();
   opts.alpha = args.alpha;
   opts.metric = metric.value();
   opts.seed = args.seed;
   opts.k = args.k;
   opts.random_representative = args.reservoir;
-  opts.expected_stream_length = points.value().size();
+  opts.expected_stream_length = points.size();
   opts.dup_filter = !args.no_filter;
-
-  rl0::Xoshiro256pp rng(rl0::SplitMix64(args.seed ^ 0x5175657279ULL));
-  if (args.window > 0) {
-    if (args.shards > 1) {
-      // Windowed sharded pipeline: S persistent worker lanes, global-
-      // residue partition, stamps = global stream positions.
-      auto pool = rl0::ShardedSwSamplerPool::Create(opts, args.window,
-                                                    args.shards);
-      if (!pool.ok()) return Fail(pool.status().ToString());
-      rl0::ShardedSwSamplerPool sw_pool = std::move(pool).value();
-      std::unique_ptr<PoolCheckpointer> ckpt;
-      if (!args.checkpoint_dir.empty()) {
-        ckpt = std::make_unique<PoolCheckpointer>(
-            &sw_pool, args.checkpoint_dir, args.checkpoint_every, opts.dim);
-      }
-      const rl0::Span<const Point> all(points.value());
-      const size_t chunk = 4096;
-      for (size_t offset = 0; offset < all.size(); offset += chunk) {
-        sw_pool.FeedBorrowed(all.subspan(offset, chunk));
-        if (ckpt && !CheckpointOk(ckpt->MaybeCut())) return 2;
-      }
-      sw_pool.Drain();
-      if (ckpt && !CheckpointOk(ckpt->Finish())) return 2;
-      for (int q = 0; q < args.queries; ++q) {
-        const auto sample = sw_pool.SampleLatest(&rng);
-        if (!sample.has_value()) return Fail("window is empty");
-        std::printf("%s  # stream position %llu\n",
-                    sample->point.ToString().c_str(),
-                    static_cast<unsigned long long>(sample->stream_index));
-      }
-      std::fprintf(stderr,
-                   "[windowed pipeline: %zu shards, %llu points, "
-                   "window=%lld, space=%zu words%s]\n",
-                   sw_pool.num_shards(),
-                   static_cast<unsigned long long>(
-                       sw_pool.points_processed()),
-                   static_cast<long long>(args.window),
-                   sw_pool.SpaceWords(),
-                   (FilterNote(sw_pool.FilterStats()) +
-                    CheckpointNote(ckpt.get()))
-                       .c_str());
-      return 0;
-    }
-    auto sampler = rl0::RobustL0SamplerSW::Create(opts, args.window);
-    if (!sampler.ok()) return Fail(sampler.status().ToString());
-    rl0::RobustL0SamplerSW sw = std::move(sampler).value();
-    sw.InsertBatch(points.value());
-    for (int q = 0; q < args.queries; ++q) {
-      const auto sample = sw.SampleLatest(&rng);
-      if (!sample.has_value()) return Fail("window is empty");
-      std::printf("%s  # stream position %llu\n",
-                  sample->point.ToString().c_str(),
-                  static_cast<unsigned long long>(sample->stream_index));
-    }
-    std::fprintf(stderr, "[window=%lld, space=%zu words%s]\n",
-                 static_cast<long long>(args.window), sw.SpaceWords(),
-                 FilterNote(sw.filter_stats()).c_str());
-    return 0;
-  }
-
-  // Build the queried sampler: either one sampler fed directly, or the
-  // merge of a persistent sharded pipeline's worker lanes.
-  rl0::Result<rl0::RobustL0SamplerIW> sampler =
-      rl0::Status::Internal("unreachable");
-  if (args.shards > 1) {
-    auto pool = rl0::ShardedSamplerPool::Create(opts, args.shards);
-    if (!pool.ok()) return Fail(pool.status().ToString());
-    rl0::ShardedSamplerPool pipeline = std::move(pool).value();
-    const rl0::Span<const Point> all(points.value());
-    const size_t chunk = 4096;
-    for (size_t offset = 0; offset < all.size(); offset += chunk) {
-      pipeline.FeedBorrowed(all.subspan(offset, chunk));
-    }
-    pipeline.Drain();
-    sampler = pipeline.Merged();
-    if (sampler.ok()) {
-      // Per-lane front-end counters; the merged sampler's own counters
-      // would list every absorbed point as bypassed.
-      std::fprintf(stderr, "[pipeline: %zu shards, %llu points%s]\n",
-                   pipeline.num_shards(),
-                   static_cast<unsigned long long>(
-                       pipeline.points_processed()),
-                   FilterNote(pipeline.FilterStats()).c_str());
-    }
-  } else {
-    sampler = rl0::RobustL0SamplerIW::Create(opts);
-    if (sampler.ok()) sampler.value().InsertBatch(points.value());
-  }
-  if (!sampler.ok()) return Fail(sampler.status().ToString());
-  rl0::RobustL0SamplerIW iw = std::move(sampler).value();
-  for (int q = 0; q < args.queries; ++q) {
-    if (args.k > 1) {
-      const auto samples = iw.SampleK(args.k, &rng);
-      if (!samples.ok()) return Fail(samples.status().ToString());
-      for (const auto& s : samples.value()) {
-        std::printf("%s  # stream position %llu\n",
-                    s.point.ToString().c_str(),
-                    static_cast<unsigned long long>(s.stream_index));
-      }
-    } else {
-      const auto sample = iw.Sample(&rng);
-      if (!sample.has_value()) return Fail("no sample available");
-      std::printf("%s  # stream position %llu\n",
-                  sample->point.ToString().c_str(),
-                  static_cast<unsigned long long>(sample->stream_index));
-    }
-  }
-  // The pool branch already reported its per-lane counters above.
-  const std::string fnote =
-      args.shards > 1 ? std::string() : FilterNote(iw.filter_stats());
-  std::fprintf(stderr, "[groups accepted=%zu rejected=%zu R=%llu "
-               "space=%zu words%s]\n",
-               iw.accept_size(), iw.reject_size(),
-               static_cast<unsigned long long>(iw.rate_reciprocal()),
-               iw.SpaceWords(), fnote.c_str());
-  return 0;
+  opts.allowed_lateness = args.lateness;
+  if (args.window <= 0) return RunSampleInfinite(args, opts, points);
+  return RunSampleWindow(args, opts, points, args.time ? &stamps : nullptr);
 }
 
 int RunRecover(const Args& args) {
@@ -655,17 +495,13 @@ int RunCount(const Args& args) {
   auto est = rl0::F0EstimatorIW::Create(opts);
   if (!est.ok()) return Fail(est.status().ToString());
   rl0::F0EstimatorIW estimator = std::move(est).value();
-  if (args.parallel) {
-    // Every estimator copy is a pipeline lane with its own worker.
-    const rl0::Span<const Point> all(points.value());
-    const size_t chunk = 4096;
-    for (size_t offset = 0; offset < all.size(); offset += chunk) {
-      estimator.Feed(all.subspan(offset, chunk));
-    }
-    estimator.Drain();
-  } else {
-    estimator.InsertBatch(points.value());
+  // Every estimator copy is a pipeline lane with its own worker.
+  const rl0::Span<const Point> all(points.value());
+  const size_t chunk = 4096;
+  for (size_t offset = 0; offset < all.size(); offset += chunk) {
+    estimator.Feed(all.subspan(offset, chunk));
   }
+  estimator.Drain();
   std::printf("%.0f\n", estimator.Estimate());
   std::fprintf(stderr,
                "[distinct entities, (1+%.2f)-approx; %zu points scanned; "
