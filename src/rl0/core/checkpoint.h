@@ -107,11 +107,13 @@ enum class JournalRecordType : uint8_t {
 };
 
 /// Appends length-framed, CRC'd records to a caller-owned byte buffer
-/// (flush the buffer to storage at whatever cadence durability needs).
-/// A fresh (empty) buffer gets the stream header; to continue a journal
-/// that survived a crash, truncate it to ReadJournal's valid_bytes and
-/// construct with next_seq = the number of surviving records. Not
-/// thread-safe: the pool's journal tap already serializes sink calls.
+/// (flush the buffer to storage at whatever cadence durability needs;
+/// the caller may clear it after each flush). Construction on an empty
+/// buffer writes the stream header, and nothing else ever does; to
+/// continue a journal that survived a crash, truncate it to ReadJournal's
+/// valid_bytes and construct with next_seq = the number of surviving
+/// records. Not thread-safe: the pool's journal tap already serializes
+/// sink calls.
 class JournalWriter {
  public:
   JournalWriter(std::string* out, size_t dim, uint64_t next_seq = 0);

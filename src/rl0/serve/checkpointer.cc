@@ -1,6 +1,11 @@
 #include "rl0/serve/checkpointer.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -15,10 +20,31 @@ namespace {
 /// place. Readers never open it, so crash debris there is ignored.
 std::string TempName(const std::string& path) { return path + ".tmp"; }
 
+std::string JournalName(const std::string& dir) {
+  return dir + "/journal.log";
+}
+
+/// Writes all `size` bytes to `fd`, resuming after partial writes and
+/// EINTR. Returns 0, or the errno of the write that failed.
+int WriteAll(int fd, const char* data, size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::write(fd, data, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return n < 0 ? errno : EIO;
+    data += n;
+    size -= static_cast<size_t>(n);
+  }
+  return 0;
+}
+
 bool WriteTemp(const std::string& path, const std::string& bytes) {
-  std::ofstream out(TempName(path), std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(out);
+  const int fd = ::open(TempName(path).c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return false;
+  const bool written = WriteAll(fd, bytes.data(), bytes.size()) == 0;
+  // close() can report a write error of its own (ENOSPC, EIO); a temp
+  // file that did not close cleanly must never be renamed into place.
+  return ::close(fd) == 0 && written;
 }
 
 bool RenameTemp(const std::string& path) {
@@ -69,7 +95,7 @@ Result<LoadedChain> LoadCheckpointChain(const std::string& dir) {
     out.checkpoint = std::move(folded);
     ++out.deltas;
   }
-  auto journal = ReadFileBytes(dir + "/journal.log");
+  auto journal = ReadFileBytes(JournalName(dir));
   if (journal.ok()) {
     // Keep only the valid prefix: a torn tail must not be re-appended
     // to (the continuing writer would frame records after garbage).
@@ -90,7 +116,7 @@ PoolCheckpointer::PoolCheckpointer(ShardedSwSamplerPool* pool,
     : pool_(pool),
       dir_(std::move(dir)),
       every_(every),
-      writer_(&journal_, dim),
+      writer_(&staged_, dim),
       next_cut_(every) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);  // best-effort; the
@@ -103,14 +129,15 @@ PoolCheckpointer::PoolCheckpointer(ShardedSwSamplerPool* pool,
     : pool_(pool),
       dir_(std::move(dir)),
       every_(every),
-      journal_(std::move(chain.journal)),
-      writer_(&journal_, dim, chain.journal_records),
+      staged_(std::move(chain.journal)),
+      writer_(&staged_, dim, chain.journal_records),
       next_cut_(every) {
   AttachJournal(pool_, &writer_);
 }
 
 PoolCheckpointer::~PoolCheckpointer() {
   pool_->SetJournalSink(nullptr);
+  if (journal_fd_ >= 0) ::close(journal_fd_);
 }
 
 Status PoolCheckpointer::Rebase() {
@@ -129,9 +156,51 @@ Status PoolCheckpointer::Rebase() {
 }
 
 Status PoolCheckpointer::MaybeCut() {
-  if (every_ == 0 || pool_->points_fed() < next_cut_) return Status::OK();
+  if (every_ == 0 || pool_->points_fed() < next_cut_) {
+    // Until the first cut creates journal.log, records stay staged.
+    return journal_fd_ < 0 ? Status::OK() : FlushJournal();
+  }
   while (pool_->points_fed() >= next_cut_) next_cut_ += every_;
   return Cut();
+}
+
+Status PoolCheckpointer::FlushJournal() {
+  if (journal_fd_ < 0) {
+    // The first cut writes the whole journal so far, which also drops
+    // the torn tail a recovered journal may have had on disk.
+    const std::string path = JournalName(dir_);
+    if (!WriteFileBytes(path, staged_)) {
+      return Status::Internal("cannot write '" + path + "'");
+    }
+    journal_fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if (journal_fd_ < 0) {
+      const int error = errno;
+      return Status::Internal("cannot open '" + path +
+                              "': " + std::strerror(error));
+    }
+    file_bytes_ = staged_.size();
+    // The stage held the whole journal; from here on it holds one feed.
+    staged_.clear();
+    staged_.shrink_to_fit();
+    return Status::OK();
+  }
+  // A failed append may have left part of a record behind: cut the file
+  // back to its last complete record before appending again.
+  if (append_failed_ &&
+      ::ftruncate(journal_fd_, static_cast<off_t>(file_bytes_)) != 0) {
+    const int error = errno;
+    return Status::Internal("cannot truncate '" + JournalName(dir_) +
+                            "': " + std::strerror(error));
+  }
+  const int error = WriteAll(journal_fd_, staged_.data(), staged_.size());
+  append_failed_ = error != 0;
+  if (append_failed_) {
+    return Status::Internal("cannot append to '" + JournalName(dir_) +
+                            "': " + std::strerror(error));
+  }
+  file_bytes_ += staged_.size();
+  staged_.clear();
+  return Status::OK();
 }
 
 Status PoolCheckpointer::Cut() {
@@ -167,11 +236,12 @@ Status PoolCheckpointer::Cut() {
       }
     }
   }
-  if (!written || !RenameTemp(name) ||
-      !WriteFileBytes(dir_ + "/journal.log", journal_)) {
+  if (!written || !RenameTemp(name)) {
     return Status::Internal("cannot write checkpoint files in '" + dir_ +
                             "'");
   }
+  status = FlushJournal();
+  if (!status.ok()) return status;
   ++cuts_;
   return Status::OK();
 }

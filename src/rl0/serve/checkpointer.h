@@ -5,13 +5,21 @@
 //
 //   <dir>/ckpt-000000.full     the base full checkpoint
 //   <dir>/ckpt-NNNNNN.delta    incremental cuts, NNNNNN = 1, 2, ...
-//   <dir>/journal.log          the fed-chunk journal (flushed at cuts)
+//   <dir>/journal.log          the fed-chunk journal (append-only)
 //
 // PoolCheckpointer journals every fed chunk and cuts the chain at a
 // configurable point cadence; LoadCheckpointChain folds a directory back
 // into {full checkpoint, journal valid-prefix} for RecoverPool. In the
 // server each tenant created with ckpt=1 owns one PoolCheckpointer
 // rooted at <checkpoint-root>/<tenant>.
+//
+// Journal file: a checkpointer's first cut (re)creates journal.log as
+// the whole journal so far — header plus records for a fresh tenant, the
+// recovered valid prefix plus new records for a recovered one (which
+// drops a torn tail). From then on the file only grows: MaybeCut() and
+// every later cut append the records staged since the last append, so
+// once MaybeCut() returns, every fed chunk is in journal.log. Before the
+// first cut records stay in memory and nothing is written.
 //
 // Recovery rebase: a delta can only be cut against the dirty-tracking
 // epoch a *full* cut marked on the live shard tables
@@ -21,11 +29,13 @@
 // the stale delta files. Skipping the rebase and cutting a delta first
 // would chain it to a base the recovered state no longer matches.
 //
-// Atomic files: every file is written to `<name>.tmp` and renamed over
-// `<name>`, so a process killed mid-cut leaves the previous chain intact
-// plus a *.tmp file that LoadCheckpointChain ignores. Syncing to stable
-// storage (fsync) is out of scope: a rename survives a process crash,
-// not necessarily a power loss.
+// Atomic files: every checkpoint file, and journal.log at its creation,
+// is written to `<name>.tmp` and renamed over `<name>`, so a process
+// killed mid-cut leaves the previous chain intact plus a *.tmp file that
+// LoadCheckpointChain ignores. A process killed mid-append leaves a torn
+// journal record, which ReadJournal's valid prefix ends before. Syncing
+// to stable storage (fsync) is out of scope: a rename or an append
+// survives a process crash, not necessarily a power loss.
 
 #ifndef RL0_SERVE_CHECKPOINTER_H_
 #define RL0_SERVE_CHECKPOINTER_H_
@@ -44,7 +54,8 @@ namespace serve {
 
 /// Writes `bytes` to `<path>.tmp`, then renames it over `path`, so a
 /// reader sees either the old file or the complete new one — never a
-/// torn write. Returns false on any I/O failure.
+/// torn write. Returns false on any I/O failure, including one that
+/// only surfaces when the file is closed.
 bool WriteFileBytes(const std::string& path, const std::string& bytes);
 
 /// Reads a whole file as bytes.
@@ -76,9 +87,9 @@ Result<LoadedChain> LoadCheckpointChain(const std::string& dir);
 
 /// Journals every chunk fed to `pool` and cuts the checkpoint chain
 /// under `dir`: a full cut first, then deltas every `every` points
-/// (plus explicit Finish() cuts). The journal buffer is flushed to
-/// journal.log at every cut, so a crash between cuts loses at most the
-/// unflushed journal tail — never an acknowledged checkpoint.
+/// (plus explicit Finish() cuts). After the first cut, MaybeCut() appends
+/// the chunks fed since the previous call to journal.log, so a process
+/// crash loses no chunk fed before a MaybeCut() that returned OK.
 class PoolCheckpointer {
  public:
   /// Fresh tenant: empty journal, first cut writes ckpt-000000.full.
@@ -104,26 +115,34 @@ class PoolCheckpointer {
   Status Rebase();
 
   /// Call after feeding; cuts when the fed count crossed the next
-  /// `every` boundary. No-op at cadence 0.
+  /// `every` boundary, and otherwise appends the staged journal records
+  /// to journal.log once the first cut has created it.
   Status MaybeCut();
 
   /// An explicit cut (end of stream, FLUSH, tenant CLOSE).
   Status Finish() { return Cut(); }
 
   size_t cuts() const { return cuts_; }
-  size_t journal_bytes() const { return journal_.size(); }
+  /// The journal's length: bytes in journal.log plus any staged ones.
+  size_t journal_bytes() const { return file_bytes_ + staged_.size(); }
 
  private:
   Status Cut();
+  /// Creates journal.log from the staged bytes (first cut), or appends
+  /// them to it; clears the stage on success.
+  Status FlushJournal();
 
   ShardedSwSamplerPool* pool_;
   std::string dir_;
   uint64_t every_;
-  std::string journal_;  // declared before writer_ (writer appends here)
+  std::string staged_;  // declared before writer_ (writer appends here)
   JournalWriter writer_;
   std::string chain_;  // folded full checkpoint the next delta chains on
   uint64_t next_cut_;
   size_t cuts_ = 0;
+  int journal_fd_ = -1;  // journal.log, open for append after first cut
+  size_t file_bytes_ = 0;  // bytes appended to journal.log so far
+  bool append_failed_ = false;  // journal.log may end in a partial record
 };
 
 }  // namespace serve

@@ -459,5 +459,200 @@ TEST(CrashRecoveryTest, CheckpointFilesAreAtomicAndTempDebrisIsIgnored) {
   fs::remove_all(dir);
 }
 
+TEST(CrashRecoveryTest, WriteFileBytesFailsOnWriteErrorsAndKeepsNoFile) {
+  // A temp file that cannot be written in full must never be renamed
+  // into place: /dev/full accepts open() and fails every write with
+  // ENOSPC, the way a full disk fails a buffered write late.
+  namespace fs = std::filesystem;
+  ASSERT_TRUE(fs::exists("/dev/full"));
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("rl0_write_error_" + std::to_string(static_cast<long>(::getpid())));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string name = (dir / "ckpt-000000.full").string();
+  fs::create_symlink("/dev/full", name + ".tmp");
+  EXPECT_FALSE(serve::WriteFileBytes(name, std::string(100, 'x')));
+  EXPECT_FALSE(fs::exists(fs::symlink_status(name)));
+  fs::remove_all(dir);
+}
+
+enum class FeedMode { kSequence, kTime, kLate };
+
+/// A dim-1 stream for `mode`: revisited groups, plus stamps — monotone
+/// in time mode, disordered within lateness 12 in late mode.
+struct ModeStream {
+  SamplerOptions opts;
+  std::vector<Point> points;
+  std::vector<int64_t> stamps;  // empty in sequence mode
+};
+
+ModeStream MakeModeStream(FeedMode mode, size_t n, uint64_t seed) {
+  ModeStream stream;
+  stream.opts = PoolOptions(seed);
+  stream.points = Revisits(n, 40, seed + 1);
+  if (mode != FeedMode::kSequence) {
+    stream.stamps = MonotoneStamps(n, seed + 2);
+  }
+  if (mode == FeedMode::kLate) {
+    stream.opts.allowed_lateness = 12;
+    // Bounded disorder: swap adjacent stamped pairs (gap ≤ 8 < lateness).
+    for (size_t i = 0; i + 1 < n; i += 2) {
+      std::swap(stream.stamps[i], stream.stamps[i + 1]);
+    }
+  }
+  return stream;
+}
+
+void FeedModeChunk(ShardedSwSamplerPool* pool, FeedMode mode,
+                   const ModeStream& stream, size_t offset, size_t len) {
+  const Span<const Point> points(stream.points.data() + offset, len);
+  if (mode == FeedMode::kSequence) {
+    pool->Feed(points);
+    return;
+  }
+  const Span<const int64_t> stamps(stream.stamps.data() + offset, len);
+  if (mode == FeedMode::kTime) {
+    pool->FeedStamped(points, stamps);
+  } else {
+    pool->FeedStampedLate(points, stamps);
+  }
+}
+
+std::string ReadJournalFile(const std::filesystem::path& dir) {
+  auto bytes = serve::ReadFileBytes((dir / "journal.log").string());
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? std::move(bytes).value() : std::string();
+}
+
+TEST(CrashRecoveryTest, AckedFeedsSinceLastCutRecoverFromDisk) {
+  // Every chunk fed before a MaybeCut() that returned OK is in
+  // journal.log, so recovering the live directory — as after a kill -9
+  // right there — equals a pool that never went down, even past the last
+  // cut. The file also equals, byte for byte, a reference JournalWriter
+  // tapping a twin pool fed the same chunks.
+  namespace fs = std::filesystem;
+  for (const FeedMode mode :
+       {FeedMode::kSequence, FeedMode::kTime, FeedMode::kLate}) {
+    const int m = static_cast<int>(mode);
+    SCOPED_TRACE("mode " + std::to_string(m));
+    const fs::path dir = fs::temp_directory_path() /
+                         ("rl0_acked_feeds_" +
+                          std::to_string(static_cast<long>(::getpid())) +
+                          "_" + std::to_string(m));
+    fs::remove_all(dir);
+    const ModeStream stream = MakeModeStream(mode, 1500, 90 + 10 * m);
+    // Wider than the stream: no slot is ever freed, so the dense tables
+    // a restore builds match the live ones byte for byte (file comment).
+    const int64_t window = int64_t{1} << 20;
+    const size_t lanes = 2;
+
+    auto pool =
+        ShardedSwSamplerPool::Create(stream.opts, window, lanes).value();
+    auto twin =
+        ShardedSwSamplerPool::Create(stream.opts, window, lanes).value();
+    std::string reference;
+    JournalWriter reference_writer(&reference, stream.opts.dim);
+    AttachJournal(&twin, &reference_writer);
+    serve::PoolCheckpointer ckpt(&pool, dir.string(), /*every=*/512,
+                                 stream.opts.dim);
+    for (size_t offset = 0; offset < stream.points.size(); offset += 100) {
+      const size_t len = std::min<size_t>(100, stream.points.size() - offset);
+      FeedModeChunk(&pool, mode, stream, offset, len);
+      FeedModeChunk(&twin, mode, stream, offset, len);
+      ASSERT_TRUE(ckpt.MaybeCut().ok());
+      EXPECT_EQ(ckpt.journal_bytes(), reference.size());
+      if (ckpt.cuts() == 0) {
+        // Before the first cut the journal stays in memory.
+        EXPECT_FALSE(fs::exists(dir / "journal.log"));
+      } else {
+        EXPECT_TRUE(ReadJournalFile(dir) == reference) << "offset " << offset;
+      }
+    }
+    ASSERT_EQ(ckpt.cuts(), 2u);  // at 512 and 1024 fed points
+    ASSERT_GT(pool.points_fed(), 1024u);
+    twin.Drain();
+
+    auto chain = serve::LoadCheckpointChain(dir.string());
+    ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    EXPECT_EQ(chain.value().deltas, 1u);
+    auto recovered_r =
+        RecoverPool(chain.value().checkpoint, chain.value().journal);
+    ASSERT_TRUE(recovered_r.ok()) << recovered_r.status().ToString();
+    ShardedSwSamplerPool recovered = std::move(recovered_r).value();
+    EXPECT_EQ(recovered.points_processed(), twin.points_processed());
+    EXPECT_TRUE(ShardBlobs(recovered) == ShardBlobs(twin));
+    ExpectLockstepDraws(&recovered, &twin);
+    fs::remove_all(dir);
+  }
+}
+
+TEST(CrashRecoveryTest, RecoveredCheckpointerAppendsAfterTornJournal) {
+  // A crash mid-append leaves a torn record at the end of journal.log.
+  // The recovered checkpointer's first cut rewrites the file as the valid
+  // prefix, and its later appends follow that prefix, so a second
+  // recovery replays every record fed after the first one.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("rl0_torn_append_" + std::to_string(static_cast<long>(::getpid())));
+  fs::remove_all(dir);
+  const std::vector<Point> points = Revisits(2000, 40, 101);
+  const SamplerOptions opts = PoolOptions(102);
+  const Span<const Point> all(points);
+  {
+    auto pool = ShardedSwSamplerPool::Create(opts, 400, 2).value();
+    serve::PoolCheckpointer ckpt(&pool, dir.string(), /*every=*/512,
+                                 opts.dim);
+    for (size_t offset = 0; offset < 1300; offset += 100) {
+      pool.Feed(all.subspan(offset, 100));
+      ASSERT_TRUE(ckpt.MaybeCut().ok());
+    }
+    pool.Drain();
+  }
+  const fs::path log = dir / "journal.log";
+  fs::resize_file(log, fs::file_size(log) - 7);  // tear the last record
+
+  auto chain = serve::LoadCheckpointChain(dir.string());
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  const std::string valid_prefix = chain.value().journal;
+  const uint64_t valid_records = chain.value().journal_records;
+  ASSERT_EQ(valid_records, 12u);  // 13 chunks fed, the last one torn
+  auto live_r = RecoverPool(chain.value().checkpoint, valid_prefix);
+  ASSERT_TRUE(live_r.ok()) << live_r.status().ToString();
+  ShardedSwSamplerPool live = std::move(live_r).value();
+  {
+    serve::PoolCheckpointer ckpt(&live, dir.string(), /*every=*/512,
+                                 opts.dim, std::move(chain).value());
+    ASSERT_TRUE(ckpt.Rebase().ok());
+    EXPECT_TRUE(ReadJournalFile(dir) == valid_prefix);
+    for (size_t offset = 1300; offset < 2000; offset += 100) {
+      live.Feed(all.subspan(offset, 100));
+      ASSERT_TRUE(ckpt.MaybeCut().ok());
+    }
+    live.Drain();
+
+    const std::string journal = ReadJournalFile(dir);
+    EXPECT_EQ(journal.compare(0, valid_prefix.size(), valid_prefix), 0);
+    JournalContents contents;
+    ASSERT_TRUE(ReadJournal(journal, &contents).ok());
+    EXPECT_EQ(contents.valid_bytes, journal.size());
+    EXPECT_EQ(contents.records.size(), valid_records + 7);
+  }
+
+  auto again = serve::LoadCheckpointChain(dir.string());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  auto second_r = RecoverPool(again.value().checkpoint, again.value().journal);
+  ASSERT_TRUE(second_r.ok()) << second_r.status().ToString();
+  ShardedSwSamplerPool second = std::move(second_r).value();
+  EXPECT_EQ(second.points_processed(), live.points_processed());
+  for (size_t s = 0; s < live.num_shards(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ExpectSameCanonicalState(second.shard(s), live.shard(s));
+  }
+  ExpectLockstepDraws(&second, &live);
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace rl0

@@ -9,8 +9,11 @@
 # " stamp N" (it keeps the full stamp array; the server does not), so
 # that suffix is stripped from the CLI side before diffing.
 #
-# It ends with a one-shard `rl0_cli sample --checkpoint-dir` run whose
-# `rl0_cli recover` output must match the run's own samples.
+# A checkpointed tenant fed past its last cut is then killed with
+# SIGKILL; the restarted server's recovered samples must match
+# `rl0_cli sample` over the same prefix. It ends with a one-shard
+# `rl0_cli sample --checkpoint-dir` run whose `rl0_cli recover` output
+# must match the run's own samples.
 #
 # Usage: tools/ci_serve_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -37,16 +40,22 @@ trap cleanup EXIT
 M=$(grep -vc '^#' "$TMP/seq.csv")
 echo "smoke: $M points per stream"
 
-"$BUILD/rl0_serve" --unix "$TMP/sock" --threads 4 \
-  --checkpoint-dir "$TMP/ck" > "$TMP/server.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 100); do
-  grep -q listening "$TMP/server.log" 2>/dev/null && break
-  sleep 0.1
-done
-grep -q listening "$TMP/server.log" || {
-  echo "server never came up:" >&2; cat "$TMP/server.log" >&2; exit 1;
+# Starts rl0_serve on $TMP/sock, logging to $1, and waits until it
+# listens. Every instance shares the checkpoint root $TMP/ck.
+start_server() {
+  "$BUILD/rl0_serve" --unix "$TMP/sock" --threads 4 \
+    --checkpoint-dir "$TMP/ck" > "$1" 2>&1 &
+  SERVER_PID=$!
+  for _ in $(seq 100); do
+    grep -q listening "$1" 2>/dev/null && break
+    sleep 0.1
+  done
+  grep -q listening "$1" || {
+    echo "server never came up:" >&2; cat "$1" >&2; exit 1;
+  }
 }
+
+start_server "$TMP/server.log"
 
 client() { "$BUILD/rl0_client" --unix "$TMP/sock" "$@"; }
 
@@ -109,6 +118,36 @@ grep -q "shutting down" "$TMP/server.log" || {
   cat "$TMP/server.log" >&2
   exit 1
 }
+
+# Kill -9 recovery: with every=4096, an 11000-point feed leaves 2808
+# acknowledged points past the last cut, held only by the appended
+# journal. A restarted server must recover all 11000 of them.
+awk '!/^#/ && n++ < 11000' "$TMP/seq.csv" > "$TMP/prefix.csv"
+start_server "$TMP/server-k9.log"
+client \
+  "CREATE k9 dim=5 alpha=0.5 window=2000 shards=4 seed=42 m=11000 ckpt=1 every=4096" \
+  > /dev/null
+client --feed-csv "$TMP/prefix.csv" --tenant k9 --chunk 1000
+kill -9 "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+start_server "$TMP/server-k9-recovered.log"
+client \
+  "CREATE k9 dim=5 alpha=0.5 window=2000 shards=4 seed=42 m=11000 ckpt=1 recover=1" \
+  > /dev/null
+client "SAMPLE k9 q=3 seed=42" | sed -n 's/^ITEM //p' > "$TMP/k9.server"
+"$BUILD/rl0_cli" sample --alpha 0.5 --window 2000 --shards 4 --seed 42 \
+  --queries 3 "$TMP/prefix.csv" 2> /dev/null > "$TMP/k9.cli"
+[[ -s "$TMP/k9.server" ]] || {
+  echo "smoke: kill -9 recovered tenant produced no samples" >&2; exit 1;
+}
+diff -u "$TMP/k9.cli" "$TMP/k9.server" || {
+  echo "smoke: kill -9 recovery diverged from rl0_cli" >&2; exit 1;
+}
+kill "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+
 # One-shard CLI durability round trip: checkpointing works at any shard
 # count, and `recover` must reproduce the sampled run byte for byte.
 "$BUILD/rl0_cli" sample --alpha 0.5 --window 2000 --shards 1 --seed 42 \
@@ -123,4 +162,4 @@ diff -u "$TMP/cli1.sample" "$TMP/cli1.recover" || {
   echo "smoke: one-shard CLI recover diverged from its run" >&2; exit 1;
 }
 
-echo "smoke: all three modes byte-identical to rl0_cli; recover OK"
+echo "smoke: all three modes byte-identical to rl0_cli; recover and kill -9 recovery OK"

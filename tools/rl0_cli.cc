@@ -61,11 +61,13 @@ commands:
             output is identical to sampling the stamp-sorted file.
             Rows beyond the bound are a line-numbered parse error.
             With --checkpoint-dir D (needs --window), every fed chunk is
-            journaled to D/journal.log and a checkpoint chain is cut
-            into D — ckpt-000000.full, then incremental
-            ckpt-NNNNNN.delta files every N points (--checkpoint-every;
-            default: one final cut at end of stream). `recover`
-            rebuilds the pool from those files.
+            journaled and a checkpoint chain is cut into D —
+            ckpt-000000.full, then incremental ckpt-NNNNNN.delta files
+            every N points (--checkpoint-every; default: one final cut
+            at end of stream). The first cut creates D/journal.log and
+            each later chunk is appended to it as it is fed, so from
+            then on a killed run loses no fed chunk. `recover` rebuilds
+            the pool from those files.
   recover   --checkpoint-dir D [--queries Q] [--seed S]
             Rebuild a pool from D: fold the delta chain onto the full
             checkpoint, replay the journal's surviving suffix (torn
