@@ -11,7 +11,8 @@ namespace rl0 {
 SwFixedRateSampler::SwFixedRateSampler(const SamplerContext* ctx,
                                        uint32_t level, int64_t window,
                                        uint64_t* id_counter,
-                                       PointStore* store)
+                                       PointStore* store,
+                                       CellLevelMask* level_masks)
     : ctx_(ctx), store_(store), level_(level), window_(window),
       id_counter_(id_counter) {
   RL0_CHECK(ctx != nullptr);
@@ -22,7 +23,7 @@ SwFixedRateSampler::SwFixedRateSampler(const SamplerContext* ctx,
     owned_store_ = std::make_unique<PointStore>(ctx_->options.dim);
     store_ = owned_store_.get();
   }
-  table_.Bind(store_);
+  table_.Bind(store_, level_masks, level_);
 }
 
 Result<std::unique_ptr<SwFixedRateSampler>>
@@ -130,7 +131,9 @@ InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p,
   if (touched_slot != nullptr) *touched_slot = SwGroupTable::kNpos;
   Expire(p.stamp);
 
-  const uint32_t candidate = FindCandidate(*p.point, *p.adj_keys);
+  const uint32_t candidate = ((p.chain_levels >> level_) & 1) != 0
+                                 ? FindCandidate(*p.point, *p.adj_keys)
+                                 : SwGroupTable::kNpos;
   if (candidate != SwGroupTable::kNpos) {
     // Same group as a tracked representative: refresh its latest point
     // (Algorithm 2 line 6: A ← (u,p) ∪ A \ (u,·)).
@@ -141,26 +144,17 @@ InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p,
   }
 
   // First point of a group in this window: judge it by its own cell first
-  // (accept), then by the neighborhood (reject), else ignore.
-  const bool accepted = ctx_->hasher.SampledAtLevel(p.cell_key, level_);
-  bool rejected = false;
-  if (!accepted) {
-    for (uint64_t key : *p.adj_keys) {
-      if (ctx_->hasher.SampledAtLevel(key, level_)) {
-        rejected = true;
-        break;
-      }
-    }
-    if (!rejected) return InsertOutcome::kIgnored;
-  }
+  // (accept), then by the neighborhood (reject), else ignore. The hash
+  // depths make both tests one compare each (CellHasher::Depth).
+  const bool accepted = level_ <= p.cell_depth;
+  if (!accepted && level_ > p.adj_depth) return InsertOutcome::kIgnored;
 
   const uint64_t id = (*id_counter_)++;
   const uint32_t slot = table_.Add(id, *p.point, p.stream_index, p.cell_key,
                                    accepted, p.stamp);
   if (ctx_->options.random_representative) {
-    table_.reservoir(slot) =
-        WindowedReservoir(window_, ctx_->options.seed ^ id, store_);
-    table_.reservoir(slot).Insert(*p.point, p.stamp, p.stream_index);
+    table_.StartReservoir(slot, window_, ctx_->options.seed ^ id);
+    table_.ReservoirInsert(slot, *p.point, p.stamp, p.stream_index);
   }
   if (accepted) ++accept_size_;
   return accepted ? InsertOutcome::kAccepted : InsertOutcome::kRejected;
@@ -170,19 +164,16 @@ void SwFixedRateSampler::ReplayTouch(const PreparedPoint& p, uint32_t slot) {
   RL0_DCHECK(table_.IsLive(slot));
   table_.Touch(slot, *p.point, p.stamp, p.stream_index);
   if (ctx_->options.random_representative) {
-    table_.reservoir(slot).Insert(*p.point, p.stamp, p.stream_index);
+    table_.ReservoirInsert(slot, *p.point, p.stamp, p.stream_index);
   }
 }
 
 bool SwFixedRateSampler::Insert(const Point& p, int64_t stamp) {
   RL0_DCHECK(p.dim() == ctx_->options.dim);
   PreparedPoint prep;
-  prep.point = &p;
   prep.stamp = stamp;
   prep.stream_index = static_cast<uint64_t>(stamp);
-  prep.cell_key = ctx_->grid.AdjacentCellsWithBase(p, ctx_->options.alpha,
-                                                   &adj_scratch_);
-  prep.adj_keys = &adj_scratch_;
+  ctx_->Prepare(p, &adj_scratch_, &prep);
   return Insert(prep);
 }
 
@@ -215,11 +206,8 @@ std::optional<SampleItem> SwFixedRateSampler::Sample(int64_t now,
     if (target == 0) {
       if (ctx_->options.random_representative) {
         // Reservoir holds ≥ 1 unexpired item: the group's latest point is
-        // alive (otherwise Expire would have dropped the group). The
-        // query-time reservoir expiry mutates the slot's record, so the
-        // checkpoint epoch must see it.
-        table_.MarkDirty(slot);
-        const auto item = table_.reservoir(slot).Sample(now);
+        // alive (otherwise Expire would have dropped the group).
+        const auto item = table_.ReservoirSample(slot, now);
         RL0_DCHECK(item.has_value());
         if (item.has_value()) return item;
       }
@@ -237,9 +225,7 @@ void SwFixedRateSampler::AcceptedGroupSamples(int64_t now,
   for (uint32_t slot = 0; slot < table_.slot_count(); ++slot) {
     if (!table_.IsLive(slot) || !table_.accepted(slot)) continue;
     if (ctx_->options.random_representative) {
-      // Query-time reservoir expiry mutates the record (checkpointing).
-      table_.MarkDirty(slot);
-      const auto item = table_.reservoir(slot).Sample(now);
+      const auto item = table_.ReservoirSample(slot, now);
       if (item.has_value()) {
         out->push_back(*item);
         continue;
@@ -376,10 +362,11 @@ void SwFixedRateSampler::MergeFrom(std::vector<GroupRecord>&& incoming) {
 size_t SwFixedRateSampler::SpaceWords() const {
   size_t words = table_.live() * GroupWords() + 4 /* scalars */;
   if (ctx_->options.random_representative) {
-    for (uint32_t slot = 0; slot < table_.slot_count(); ++slot) {
-      if (!table_.IsLive(slot)) continue;
-      words += table_.reservoir(slot).SpaceWords(ctx_->options.dim);
-    }
+    // Σ WindowedReservoir::SpaceWords over the live groups, from the
+    // table's running candidate total (no slot walk per insert).
+    words += table_.reservoir_candidates() *
+                 WindowedReservoir::CandidateWords(ctx_->options.dim) +
+             table_.live() * WindowedReservoir::kScalarWords;
   }
   return words;
 }

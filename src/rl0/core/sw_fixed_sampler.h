@@ -88,20 +88,24 @@ enum class InsertOutcome {
 /// Fixed-rate sliding-window sampler (Algorithm 2).
 class SwFixedRateSampler {
  public:
-  /// Non-owning constructor: `ctx` and `store` must outlive the sampler;
-  /// `id_counter` issues group ids unique across all levels of a
-  /// hierarchy. A null `store` gives the sampler a private arena.
+  /// Non-owning constructor: `ctx`, `store` and `level_masks` must
+  /// outlive the sampler; `id_counter` issues group ids unique across all
+  /// levels of a hierarchy. A null `store` gives the sampler a private
+  /// arena. `level_masks` is the hierarchy's shared cell → level-set map
+  /// (see CellLevelMask), kept current by this level's table.
   SwFixedRateSampler(const SamplerContext* ctx, uint32_t level,
                      int64_t window, uint64_t* id_counter,
-                     PointStore* store = nullptr);
+                     PointStore* store = nullptr,
+                     CellLevelMask* level_masks = nullptr);
 
   /// Standalone factory owning its context and arena (single-level use,
   /// tests).
   static Result<std::unique_ptr<SwFixedRateSampler>> CreateStandalone(
       const SamplerOptions& options, uint32_t level, int64_t window);
 
-  /// Feeds a prepared point. Expires dead groups first. Reports whether
-  /// the point was recorded, and into which class (see InsertOutcome).
+  /// Feeds a point prepared by SamplerContext::Prepare. Expires dead
+  /// groups first. Reports whether the point was recorded, and into which
+  /// class (see InsertOutcome).
   InsertOutcome InsertPrepared(const PreparedPoint& p) {
     return InsertPrepared(p, nullptr);
   }
@@ -137,14 +141,6 @@ class SwFixedRateSampler {
   /// than the window, a post-promotion Reset) leave mostly-dead slot
   /// columns behind; those compact via SwGroupTable::MaybeCompact.
   void Expire(int64_t now);
-
-  /// Prefetches the cell bucket of `key` in this level's group table
-  /// (the hierarchy's batch paths issue this one stream element ahead).
-  void PrefetchCell(uint64_t key) const { table_.PrefetchCell(key); }
-
-  /// Whether the prefetch is worth its CellKeyOf cost at this level (see
-  /// SwGroupTable::PrefetchPays).
-  bool PrefetchPays() const { return table_.PrefetchPays(); }
 
   /// Clears all tracked groups (the hierarchy's pruning step).
   void Reset();

@@ -12,7 +12,65 @@ namespace {
 constexpr size_t kCompactMinSlots = 64;
 }  // namespace
 
+CellLevelMask::CellLevelMask() : entries_(16, Entry{0, 0}), shift_(64 - 4) {}
+
+void CellLevelMask::Set(uint64_t key, uint32_t level) {
+  RL0_DCHECK(level < 64);
+  if ((live_ + 1) * 2 > entries_.size()) Grow();
+  const uint64_t bit = uint64_t{1} << level;
+  for (size_t i = BucketFor(key);; i = (i + 1) & (entries_.size() - 1)) {
+    Entry& e = entries_[i];
+    if (e.mask == 0) {
+      e = Entry{key, bit};
+      ++live_;
+      return;
+    }
+    if (e.key == key) {
+      e.mask |= bit;
+      return;
+    }
+  }
+}
+
+void CellLevelMask::Reset(uint64_t key, uint32_t level) {
+  RL0_DCHECK(level < 64);
+  const size_t cap_mask = entries_.size() - 1;
+  size_t i = BucketFor(key);
+  for (;; i = (i + 1) & cap_mask) {
+    if (entries_[i].mask == 0) return;
+    if (entries_[i].key == key) break;
+  }
+  entries_[i].mask &= ~(uint64_t{1} << level);
+  if (entries_[i].mask != 0) return;
+  // Backward-shift deletion: pull every later member of the probe run
+  // whose home bucket does not lie in (i, j] into the hole.
+  --live_;
+  for (size_t j = (i + 1) & cap_mask; entries_[j].mask != 0;
+       j = (j + 1) & cap_mask) {
+    const size_t home = BucketFor(entries_[j].key);
+    const bool stays = i <= j ? (i < home && home <= j)
+                              : (i < home || home <= j);
+    if (stays) continue;
+    entries_[i] = entries_[j];
+    entries_[j].mask = 0;
+    i = j;
+  }
+}
+
+void CellLevelMask::Grow() {
+  std::vector<Entry> old(entries_.size() * 2, Entry{0, 0});
+  old.swap(entries_);
+  --shift_;
+  for (const Entry& e : old) {
+    if (e.mask == 0) continue;
+    size_t i = BucketFor(e.key);
+    while (entries_[i].mask != 0) i = (i + 1) & (entries_.size() - 1);
+    entries_[i] = e;
+  }
+}
+
 uint32_t SwGroupTable::AllocateSlot() {
+  cleared_ = false;
   if (!free_slots_.empty()) {
     const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
@@ -39,6 +97,9 @@ uint32_t SwGroupTable::AllocateSlot() {
 
 void SwGroupTable::LinkCell(uint32_t slot) {
   next_in_cell_[slot] = cell_index_.Upsert(rep_cell_[slot], slot);
+  if (next_in_cell_[slot] == kNpos && masks_ != nullptr) {
+    masks_->Set(rep_cell_[slot], level_);  // the cell's chain is new
+  }
 }
 
 void SwGroupTable::UnlinkCell(uint32_t slot) {
@@ -49,6 +110,7 @@ void SwGroupTable::UnlinkCell(uint32_t slot) {
     const uint32_t next = next_in_cell_[slot];
     if (next == kNpos) {
       cell_index_.Erase(key);
+      if (masks_ != nullptr) masks_->Reset(key, level_);
     } else {
       cell_index_.SetHead(key, next);
     }
@@ -156,6 +218,7 @@ void SwGroupTable::Remove(uint32_t slot) {
   UnlinkStamp(slot);
   store_->Release(rep_[slot]);
   store_->Release(latest_[slot]);
+  reservoir_candidates_ -= reservoir_[slot].size();
   reservoir_[slot].ReleaseAll();
   flags_[slot] = 0;
   free_slots_.push_back(slot);
@@ -176,6 +239,7 @@ SwGroupTable::MovedGroup SwGroupTable::Extract(uint32_t slot) {
   g.latest = latest_[slot];
   g.latest_stamp = latest_stamp_[slot];
   g.latest_index = latest_index_[slot];
+  reservoir_candidates_ -= reservoir_[slot].size();
   g.reservoir = std::move(reservoir_[slot]);
   flags_[slot] = 0;
   free_slots_.push_back(slot);
@@ -196,6 +260,7 @@ uint32_t SwGroupTable::AdoptMoved(MovedGroup&& g) {
   latest_stamp_[slot] = g.latest_stamp;
   latest_index_[slot] = g.latest_index;
   reservoir_[slot] = std::move(g.reservoir);
+  reservoir_candidates_ += reservoir_[slot].size();
   flags_[slot] = kLiveFlag | (g.accepted ? kAcceptedFlag : 0);
   dirty_epoch_[slot] = ckpt_seq_;
   LinkCell(slot);
@@ -282,11 +347,18 @@ void SwGroupTable::Compact() {
 }
 
 void SwGroupTable::Clear() {
-  // An empty Clear (the common per-arrival Reset of already-empty lower
-  // levels) observes nothing and so must not invalidate filter epochs.
+  // The common per-arrival Reset of already-cleared lower levels. Since
+  // the last Clear no slot was allocated, so nothing was linked and the
+  // free list still holds every slot in slot order (a Compact in between
+  // only shrank it to the empty list Clear would rebuild).
+  if (cleared_) return;
+  cleared_ = true;
+  // An empty Clear observes nothing and so must not invalidate filter
+  // epochs.
   if (live_ > 0) ++generation_;
   for (uint32_t slot = 0; slot < flags_.size(); ++slot) {
     if (!IsLive(slot)) continue;
+    if (masks_ != nullptr) masks_->Reset(rep_cell_[slot], level_);
     store_->Release(rep_[slot]);
     store_->Release(latest_[slot]);
     reservoir_[slot].ReleaseAll();
@@ -300,6 +372,7 @@ void SwGroupTable::Clear() {
   stamp_tail_ = kNpos;
   free_slots_.clear();
   live_ = 0;
+  reservoir_candidates_ = 0;
   // Dead slots stay allocated (capacity tracks the peak population, the
   // accounting model of util/space.h); reset the free list to reuse them
   // in slot order.

@@ -12,6 +12,10 @@
 //     recycled through a free list;
 //   * cell membership is an intrusive chain threaded through the
 //     `next_in_cell` column, with heads in a CellIndex (open addressing);
+//   * inside a hierarchy, the table keeps its level's bit of a shared
+//     CellLevelMask (cell key → levels holding a chain there) current,
+//     so the Algorithm 3 descent probes one map per adjacent cell instead
+//     of every level's CellIndex;
 //   * expiry order is an intrusive doubly-linked list threaded through
 //     the `stamp_prev`/`stamp_next` columns, kept sorted by latest stamp.
 //     Stream arrivals only ever append at the tail (stamps are
@@ -32,14 +36,70 @@
 #define RL0_CORE_SW_GROUP_TABLE_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "rl0/core/rep_table.h"
+#include "rl0/core/sample.h"
 #include "rl0/core/windowed_reservoir.h"
 #include "rl0/geom/point_store.h"
 #include "rl0/util/check.h"
 
 namespace rl0 {
+
+/// Map from cell key to the 64-bit set of hierarchy levels whose group
+/// table holds a chain in that cell — the one index probe per adjacent
+/// cell that replaces a CellIndex probe per level in the Algorithm 3
+/// descent. Open addressing with linear probing and backward-shift
+/// deletion; an entry exists iff its mask is non-zero, so a zero mask
+/// doubles as the empty-bucket marker and no tombstones accumulate.
+class CellLevelMask {
+ public:
+  CellLevelMask();
+
+  /// The level set of `key` (0 when no level holds a chain there).
+  uint64_t Find(uint64_t key) const {
+    for (size_t i = BucketFor(key);; i = (i + 1) & (entries_.size() - 1)) {
+      const Entry& e = entries_[i];
+      if (e.mask == 0) return 0;
+      if (e.key == key) return e.mask;
+    }
+  }
+
+  /// Adds `level` to `key`'s set.
+  void Set(uint64_t key, uint32_t level);
+
+  /// Removes `level` from `key`'s set (no-op if absent); the entry goes
+  /// when its set empties.
+  void Reset(uint64_t key, uint32_t level);
+
+  /// Number of keys with a non-empty set.
+  size_t live() const { return live_; }
+
+  /// Prefetches the probe bucket of `key` (the hierarchy's batch paths
+  /// issue this one stream element ahead).
+  void Prefetch(uint64_t key) const {
+#if defined(__GNUC__)
+    __builtin_prefetch(&entries_[BucketFor(key)]);
+#endif
+  }
+
+ private:
+  struct Entry {
+    uint64_t key;
+    uint64_t mask;
+  };
+
+  size_t BucketFor(uint64_t key) const {
+    // Same multiplicative spread as CellIndex (keys are already mixed).
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  void Grow();
+
+  std::vector<Entry> entries_;
+  uint32_t shift_;  // 64 - log2(entries_.size())
+  size_t live_ = 0;
+};
 
 /// SoA table of sliding-window groups with a flat cell index and an
 /// intrusive stamp-ordered expiry list. Move-only (owns arena slots).
@@ -70,10 +130,17 @@ class SwGroupTable {
   SwGroupTable(const SwGroupTable&) = delete;
   SwGroupTable& operator=(const SwGroupTable&) = delete;
 
-  /// Binds the arena. Must be called once, before any insertion.
-  void Bind(PointStore* store) {
+  /// Binds the arena and, inside a hierarchy, the shared level mask this
+  /// table keeps its bit `level` of current (set when a cell's chain is
+  /// created, reset when it is erased; null for a standalone level).
+  /// Must be called once, before any insertion; `masks` must outlive the
+  /// table.
+  void Bind(PointStore* store, CellLevelMask* masks = nullptr,
+            uint32_t level = 0) {
     RL0_DCHECK(store_ == nullptr && live_ == 0);
     store_ = store;
+    masks_ = masks;
+    level_ = level;
   }
 
   // ----------------------------------------------------------- lifecycle
@@ -104,7 +171,10 @@ class SwGroupTable {
   uint32_t AdoptMoved(MovedGroup&& g);
 
   /// Releases every group and empties the table (the hierarchy's pruning
-  /// step). Keeps column capacity.
+  /// step). Keeps column capacity. O(1) when no slot was allocated since
+  /// the last Clear: the table is then already in the state Clear
+  /// produces (free list in slot order, fresh cell index), so slot reuse
+  /// order, slot-order iteration and generation() are unaffected.
   void Clear();
 
   /// Compacts the slot columns: live groups move down to [0, live()),
@@ -122,16 +192,6 @@ class SwGroupTable {
   /// big enough to matter (expiry waves after a stream gap are the usual
   /// trigger). Returns whether it ran.
   bool MaybeCompact();
-
-  /// Prefetches the CellIndex bucket of `key` (batch-ingestion paths
-  /// issue this one stream element ahead).
-  void PrefetchCell(uint64_t key) const { cell_index_.Prefetch(key); }
-
-  /// True when the cell index is populated enough for a cold bucket load
-  /// to be plausible (same gate as RepTable::PrefetchPays).
-  bool PrefetchPays() const {
-    return cell_index_.live() >= RepTable::kPrefetchMinCells;
-  }
 
   // ------------------------------------------------------------- queries
 
@@ -153,10 +213,43 @@ class SwGroupTable {
   PointRef latest_ref(uint32_t slot) const { return latest_[slot]; }
   int64_t latest_stamp(uint32_t slot) const { return latest_stamp_[slot]; }
   uint64_t latest_index(uint32_t slot) const { return latest_index_[slot]; }
-  WindowedReservoir& reservoir(uint32_t slot) { return reservoir_[slot]; }
   const WindowedReservoir& reservoir(uint32_t slot) const {
     return reservoir_[slot];
   }
+
+  // --------------------------------------- reservoir (Section 2.3 mode)
+  //
+  // Every reservoir mutation goes through the table, which keeps the
+  // candidate total of its live groups current for the space meter.
+
+  /// Installs a fresh, empty reservoir in the newly added `slot`.
+  void StartReservoir(uint32_t slot, int64_t window, uint64_t seed) {
+    RL0_DCHECK(reservoir_[slot].size() == 0);
+    reservoir_[slot] = WindowedReservoir(window, seed, store_);
+  }
+
+  /// Feeds a point to `slot`'s reservoir.
+  void ReservoirInsert(uint32_t slot, PointView p, int64_t stamp,
+                       uint64_t stream_index) {
+    WindowedReservoir& r = reservoir_[slot];
+    reservoir_candidates_ -= r.size();
+    r.Insert(p, stamp, stream_index);
+    reservoir_candidates_ += r.size();
+  }
+
+  /// Samples `slot`'s reservoir at `now`. The query-time expiry mutates
+  /// the record, so the slot joins the checkpoint epoch.
+  std::optional<SampleItem> ReservoirSample(uint32_t slot, int64_t now) {
+    MarkDirty(slot);
+    WindowedReservoir& r = reservoir_[slot];
+    reservoir_candidates_ -= r.size();
+    std::optional<SampleItem> item = r.Sample(now);
+    reservoir_candidates_ += r.size();
+    return item;
+  }
+
+  /// Σ reservoir(slot).size() over the live slots.
+  size_t reservoir_candidates() const { return reservoir_candidates_; }
 
   /// First slot of `key`'s cell chain (kNpos if none).
   uint32_t CellHead(uint64_t key) const { return cell_index_.Find(key); }
@@ -211,6 +304,8 @@ class SwGroupTable {
   void UnlinkStamp(uint32_t slot);
 
   PointStore* store_ = nullptr;
+  CellLevelMask* masks_ = nullptr;
+  uint32_t level_ = 0;
   CellIndex cell_index_;
 
   std::vector<uint64_t> id_;
@@ -237,6 +332,10 @@ class SwGroupTable {
   std::vector<uint32_t> free_slots_;
   size_t live_ = 0;
   uint64_t generation_ = 0;
+  size_t reservoir_candidates_ = 0;
+  // No slot allocated since the last Clear (a fresh table counts as
+  // cleared): Clear has nothing to do.
+  bool cleared_ = true;
 };
 
 }  // namespace rl0

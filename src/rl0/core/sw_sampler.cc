@@ -25,13 +25,15 @@ RobustL0SamplerSW::RobustL0SamplerSW(const SamplerOptions& options,
     : ctx_(std::make_unique<SamplerContext>(options)),
       id_counter_(std::make_unique<uint64_t>(0)),
       store_(std::make_unique<PointStore>(options.dim)),
+      level_masks_(std::make_unique<CellLevelMask>()),
       window_(window),
       accept_cap_(options.EffectiveAcceptCap()) {
   const uint32_t L = CeilLog2(static_cast<uint64_t>(window));
   levels_.reserve(L + 1);
   for (uint32_t l = 0; l <= L; ++l) {
     levels_.push_back(std::make_unique<SwFixedRateSampler>(
-        ctx_.get(), l, window, id_counter_.get(), store_.get()));
+        ctx_.get(), l, window, id_counter_.get(), store_.get(),
+        level_masks_.get()));
   }
   dup_filter_ = DupFilter(options.dim, /*payload_len=*/1 + levels_.size(),
                           options.dup_filter);
@@ -46,52 +48,42 @@ void RobustL0SamplerSW::InsertGlobal(const Point& p, uint64_t global_index) {
   InsertStamped(p, static_cast<int64_t>(global_index), global_index);
 }
 
-void RobustL0SamplerSW::InsertStrided(Span<const Point> points, size_t start,
-                                      size_t stride, uint64_t index_base) {
+template <typename InsertFn>
+void RobustL0SamplerSW::InsertEach(Span<const Point> points, size_t start,
+                                   size_t stride, InsertFn&& insert) {
   RL0_DCHECK(stride > 0);
   const size_t n = points.size();
   // Gate decided once per chunk (the prefetch costs a CellKeyOf per
-  // element and only pays on out-of-cache indexes); the common loop
+  // element and only pays on an out-of-cache mask); the common loop
   // stays free of the hint entirely.
-  if (levels_.back()->PrefetchPays()) {
+  if (level_masks_->live() >= RepTable::kPrefetchMinCells) {
     for (size_t i = start; i < n; i += stride) {
       if (i + stride < n) {
-        // Warm the first bucket the next element will probe (the top
-        // level is fed first in the Algorithm 3 descent).
-        levels_.back()->PrefetchCell(
-            ctx_->grid.CellKeyOf(points[i + stride]));
+        // Warm the first bucket the next element's descent probes.
+        level_masks_->Prefetch(ctx_->grid.CellKeyOf(points[i + stride]));
       }
-      InsertGlobal(points[i], index_base + i);
+      insert(i);
     }
     return;
   }
-  for (size_t i = start; i < n; i += stride) {
+  for (size_t i = start; i < n; i += stride) insert(i);
+}
+
+void RobustL0SamplerSW::InsertStrided(Span<const Point> points, size_t start,
+                                      size_t stride, uint64_t index_base) {
+  InsertEach(points, start, stride, [&](size_t i) {
     InsertGlobal(points[i], index_base + i);
-  }
+  });
 }
 
 void RobustL0SamplerSW::InsertStridedStamped(Span<const Point> points,
                                              Span<const int64_t> stamps,
                                              size_t start, size_t stride,
                                              uint64_t index_base) {
-  RL0_DCHECK(stride > 0);
   RL0_DCHECK(stamps.size() == points.size());
-  const size_t n = points.size();
-  // Same chunk-level prefetch gate as InsertStrided: warm the next
-  // element's top-level cell bucket while this one inserts.
-  if (levels_.back()->PrefetchPays()) {
-    for (size_t i = start; i < n; i += stride) {
-      if (i + stride < n) {
-        levels_.back()->PrefetchCell(
-            ctx_->grid.CellKeyOf(points[i + stride]));
-      }
-      InsertStamped(points[i], stamps[i], index_base + i);
-    }
-    return;
-  }
-  for (size_t i = start; i < n; i += stride) {
+  InsertEach(points, start, stride, [&](size_t i) {
     InsertStamped(points[i], stamps[i], index_base + i);
-  }
+  });
 }
 
 void RobustL0SamplerSW::InsertStamped(const Point& p, int64_t stamp,
@@ -110,15 +102,21 @@ void RobustL0SamplerSW::InsertStamped(const Point& p, int64_t stamp,
   }
 
   PreparedPoint prep;
-  prep.point = &p;
   prep.stamp = stamp;
   prep.stream_index = stream_index;
-  // Fused pass: the adjacency search also yields cell(p)'s key.
-  prep.cell_key = ctx_->grid.AdjacentCellsWithBase(p, ctx_->options.alpha,
-                                                   &adj_scratch_);
-  prep.adj_keys = &adj_scratch_;
+  ctx_->Prepare(p, &adj_scratch_, &prep);
   RL0_DCHECK(!dup_filter_.enabled() ||
              ctx_->grid.CellKeyOf(p) == prep.cell_key);
+  // One mask probe per adjacent cell replaces a cell-index probe per
+  // level. The union is exact now and stays a superset of each level's
+  // true chain set until that level is probed: during the descent only
+  // the level being probed adds chains (and it is never probed again),
+  // expiry only removes them, and resets and cascades run after the
+  // descent stops.
+  prep.chain_levels = 0;
+  for (uint64_t key : adj_scratch_) {
+    prep.chain_levels |= level_masks_->Find(key);
+  }
 
   // The arrival is recordable for replay only when every probed level
   // either ignored it or purely refreshed an existing group (no new
@@ -265,19 +263,9 @@ void RobustL0SamplerSW::Insert(const Point& p) {
 }
 
 void RobustL0SamplerSW::InsertBatch(Span<const Point> points) {
-  const size_t n = points.size();
-  if (levels_.back()->PrefetchPays()) {
-    for (size_t i = 0; i < n; ++i) {
-      if (i + 1 < n) {
-        levels_.back()->PrefetchCell(ctx_->grid.CellKeyOf(points[i + 1]));
-      }
-      Insert(points[i], static_cast<int64_t>(points_processed_));
-    }
-    return;
-  }
-  for (const Point& p : points) {
-    Insert(p, static_cast<int64_t>(points_processed_));
-  }
+  InsertEach(points, 0, 1, [&](size_t i) {
+    Insert(points[i], static_cast<int64_t>(points_processed_));
+  });
 }
 
 void RobustL0SamplerSW::Cascade(size_t start_level) {

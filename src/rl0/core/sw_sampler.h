@@ -177,6 +177,8 @@ class RobustL0SamplerSW {
   size_t num_levels() const { return levels_.size(); }
   /// Read access to a level (tests/instrumentation).
   const SwFixedRateSampler& level(size_t i) const { return *levels_[i]; }
+  /// The shared cell → level-set map the descent probes (tests).
+  const CellLevelMask& level_masks() const { return *level_masks_; }
   /// The window width.
   int64_t window() const { return window_; }
   /// Points processed so far.
@@ -233,6 +235,13 @@ class RobustL0SamplerSW {
   /// Refreshes the space meter after a state change.
   void UpdateMeter();
 
+  /// Calls insert(i) for i = start, start+stride, ... < n, prefetching
+  /// the level-mask bucket of the next element first once the mask is
+  /// too big to stay cache-resident.
+  template <typename InsertFn>
+  void InsertEach(Span<const Point> points, size_t start, size_t stride,
+                  InsertFn&& insert);
+
   /// Attempts to replay a recorded descent for an exact repeat arrival.
   /// Returns true when the arrival was fully handled (bit-identically to
   /// the full descent); false means the caller must run the full descent
@@ -254,6 +263,10 @@ class RobustL0SamplerSW {
   std::unique_ptr<uint64_t> id_counter_;
   /// One arena for every level's points (stable address: levels hold it).
   std::unique_ptr<PointStore> store_;
+  /// Cell key → levels holding a chain there, kept by the level tables
+  /// (stable address: levels hold it). Declared before levels_ so it
+  /// outlives them: a table clears its bits while it is destroyed.
+  std::unique_ptr<CellLevelMask> level_masks_;
   std::vector<std::unique_ptr<SwFixedRateSampler>> levels_;
   int64_t window_;
   size_t accept_cap_;

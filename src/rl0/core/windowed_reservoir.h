@@ -119,8 +119,10 @@ class WindowedReservoir {
   /// arena coordinates plus the four scalar fields (priority, stamp,
   /// point ref, stream_index), plus the reservoir's own two scalars.
   size_t SpaceWords(size_t dim) const {
-    return candidates_.size() * (dim + 4) + 2;
+    return candidates_.size() * CandidateWords(dim) + kScalarWords;
   }
+  static constexpr size_t CandidateWords(size_t dim) { return dim + 4; }
+  static constexpr size_t kScalarWords = 2;
 
   /// The stored candidates, oldest first (checkpointing support).
   const std::deque<Candidate>& candidates() const { return candidates_; }

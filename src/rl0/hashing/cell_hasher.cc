@@ -1,5 +1,6 @@
 #include "rl0/hashing/cell_hasher.h"
 
+#include "rl0/util/bits.h"
 #include "rl0/util/check.h"
 
 namespace rl0 {
@@ -34,8 +35,12 @@ uint64_t CellHasher::Hash(uint64_t cell_key) const {
 bool CellHasher::SampledAtLevel(uint64_t cell_key, uint32_t level) const {
   RL0_DCHECK(level <= kMaxLevel);
   if (level == 0) return true;  // R = 1: h(x) mod 1 == 0 for every x.
-  const uint64_t mask = (uint64_t{1} << level) - 1;
-  return (Hash(cell_key) & mask) == 0;
+  return level <= Depth(cell_key);
+}
+
+uint32_t CellHasher::Depth(uint64_t cell_key) const {
+  // The low `level` bits of h are zero iff level ≤ ctz(h).
+  return CountTrailingZeros(Hash(cell_key));
 }
 
 }  // namespace rl0

@@ -52,6 +52,13 @@ class CellHasher {
   /// SampledAtLevel(k, l+1) implies SampledAtLevel(k, l).
   bool SampledAtLevel(uint64_t cell_key, uint32_t level) const;
 
+  /// The deepest level the cell is sampled at: the number of trailing
+  /// zero bits of h(key), 64 when h(key) = 0. Nestedness makes this one
+  /// number the cell's membership at every level —
+  /// SampledAtLevel(k, l) ⇔ l ≤ Depth(k) — so a caller deciding many
+  /// levels for one cell hashes it once.
+  uint32_t Depth(uint64_t cell_key) const;
+
   /// The family backing this hasher.
   HashFamily family() const { return family_; }
 

@@ -1,11 +1,16 @@
 #include "rl0/serve/protocol.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 namespace rl0 {
@@ -107,37 +112,74 @@ bool ParseI64Token(const std::string& tok, int64_t* out) {
   return true;
 }
 
+/// Space/tab-separated tokens of a line, scanned in place.
+class TokenScanner {
+ public:
+  explicit TokenScanner(std::string_view s) : s_(s) {}
+
+  /// The next token, or false at the end of the line.
+  bool Next(std::string_view* tok) {
+    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t')) ++i_;
+    const size_t start = i_;
+    while (i_ < s_.size() && s_[i_] != ' ' && s_[i_] != '\t') ++i_;
+    *tok = s_.substr(start, i_ - start);
+    return i_ > start;
+  }
+
+ private:
+  std::string_view s_;
+  size_t i_ = 0;
+};
+
 std::vector<std::string> SplitTokens(const std::string& line) {
   std::vector<std::string> tokens;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > start) tokens.emplace_back(line, start, i - start);
-  }
+  TokenScanner scanner(line);
+  std::string_view tok;
+  while (scanner.Next(&tok)) tokens.emplace_back(tok);
   return tokens;
 }
 
 Status Err(const std::string& msg) { return Status::InvalidArgument(msg); }
 
-/// Parses "x,y,z" into a Point. `expect_dim` of 0 accepts any dimension.
-bool ParsePointToken(const std::string& tok, Point* out) {
-  std::vector<double> coords;
-  size_t start = 0;
-  for (;;) {
-    const size_t comma = tok.find(',', start);
-    const std::string piece =
-        comma == std::string::npos ? tok.substr(start)
-                                   : tok.substr(start, comma - start);
-    double v;
-    if (!ParseDoubleToken(piece, &v)) return false;
-    coords.push_back(v);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+/// Parses one coordinate [b, e) under ParseDoubleToken's rule, without
+/// a string copy on the common path. std::from_chars rounds correctly, as
+/// strtod does, but the two accept different languages: from_chars
+/// rejects a leading '+', leading '\v' '\f' '\r' and hex floats, which
+/// strtod accepts; it accepts subnormals and inputs that round up to
+/// DBL_MIN, which glibc's strtod rejects with ERANGE. So from_chars
+/// decides only a span that starts with [-.0-9], is consumed entirely and
+/// yields a normal |v| > DBL_MIN — there both agree on acceptance and
+/// value. Everything else takes the strtod rule itself. (A conforming
+/// from_chars already fails, or yields inf/nan, on every span the
+/// first-byte test screens out; the test keeps the split from resting on
+/// that.)
+bool ParseCoordinate(const char* b, const char* e, double* out) {
+  if (b != e && (*b == '-' || *b == '.' || (*b >= '0' && *b <= '9'))) {
+    double v = 0.0;
+    const std::from_chars_result r = std::from_chars(b, e, v);
+    if (r.ec == std::errc() && r.ptr == e && std::isnormal(v) &&
+        std::fabs(v) > DBL_MIN) {
+      *out = v;
+      return true;
+    }
   }
-  *out = Point(std::move(coords));
-  return true;
+  return ParseDoubleToken(std::string(b, e), out);
+}
+
+/// Appends the coordinates of "x,y,z" (any dimension, no empty piece)
+/// to `coords`.
+bool ParseCoordinates(std::string_view tok, std::vector<double>* coords) {
+  const char* b = tok.data();
+  const char* const end = b + tok.size();
+  for (;;) {
+    const char* comma = b;
+    while (comma != end && *comma != ',') ++comma;
+    double v;
+    if (!ParseCoordinate(b, comma, &v)) return false;
+    coords->push_back(v);
+    if (comma == end) return true;
+    b = comma + 1;
+  }
 }
 
 /// Splits "key=value"; returns false when there is no '=' or empty key.
@@ -267,52 +309,61 @@ Result<Command> ParseCreate(const std::vector<std::string>& tokens) {
   return cmd;
 }
 
-Result<Command> ParseFeed(const std::vector<std::string>& tokens,
-                          bool stamped) {
+/// FEED / FEEDSTAMPED, scanned in place from the token after the verb:
+/// no string per token, one coordinate vector per point. Checks run in
+/// the order of the token rule they replace — the point count before any
+/// point, each whole point before its dimension check.
+Result<Command> ParseFeed(TokenScanner scanner, bool stamped) {
   Command cmd;
   cmd.type = stamped ? CommandType::kFeedStamped : CommandType::kFeed;
-  const char* name = stamped ? "FEEDSTAMPED" : "FEED";
-  if (tokens.size() < 2) {
-    return Err(std::string(name) + ": missing tenant name");
+  const std::string name = stamped ? "FEEDSTAMPED" : "FEED";
+  std::string_view tok;
+  if (!scanner.Next(&tok)) return Err(name + ": missing tenant name");
+  cmd.tenant.assign(tok);
+  const TokenScanner points_start = scanner;
+  size_t count = 0;
+  while (count <= kMaxPointsPerFeed && scanner.Next(&tok)) ++count;
+  if (count == 0) return Err(name + ": no points");
+  if (count > kMaxPointsPerFeed) {
+    return Err(name + ": too many points in one command");
   }
-  cmd.tenant = tokens[1];
-  if (tokens.size() < 3) {
-    return Err(std::string(name) + ": no points");
-  }
-  if (tokens.size() - 2 > kMaxPointsPerFeed) {
-    return Err(std::string(name) + ": too many points in one command");
-  }
-  cmd.points.reserve(tokens.size() - 2);
-  if (stamped) cmd.stamps.reserve(tokens.size() - 2);
+  cmd.points.reserve(count);
+  if (stamped) cmd.stamps.reserve(count);
+  scanner = points_start;
   size_t dim = 0;
-  for (size_t i = 2; i < tokens.size(); ++i) {
-    std::string coords_tok = tokens[i];
+  while (scanner.Next(&tok)) {
+    std::string_view coords_tok = tok;
     if (stamped) {
-      const size_t at = coords_tok.find('@');
-      if (at == std::string::npos) {
+      const size_t at = tok.find('@');
+      if (at == std::string_view::npos) {
         return Err("FEEDSTAMPED: expected stamp@coords, got '" +
-                   tokens[i] + "'");
+                   std::string(tok) + "'");
       }
       int64_t stamp;
-      if (!ParseI64Token(coords_tok.substr(0, at), &stamp)) {
-        return Err("FEEDSTAMPED: bad stamp in '" + tokens[i] + "'");
+      if (!ParseI64Token(std::string(tok.substr(0, at)), &stamp)) {
+        return Err("FEEDSTAMPED: bad stamp in '" + std::string(tok) + "'");
       }
       // No ordering check here: whether disorder is legal depends on
       // the tenant's mode (late tolerates it, time does not), which the
       // stateless parser cannot know. The registry enforces it.
       cmd.stamps.push_back(stamp);
-      coords_tok.erase(0, at + 1);
+      coords_tok.remove_prefix(at + 1);
     }
-    Point point;
-    if (!ParsePointToken(coords_tok, &point)) {
-      return Err(std::string(name) + ": bad point '" + tokens[i] + "'");
+    std::vector<double> coords;
+    // Sized once: the first point by its commas, the rest by its dim.
+    coords.reserve(cmd.points.empty()
+                       ? 1 + static_cast<size_t>(std::count(
+                                 coords_tok.begin(), coords_tok.end(), ','))
+                       : dim);
+    if (!ParseCoordinates(coords_tok, &coords)) {
+      return Err(name + ": bad point '" + std::string(tok) + "'");
     }
-    if (i == 2) {
-      dim = point.dim();
-    } else if (point.dim() != dim) {
-      return Err(std::string(name) + ": inconsistent dimensions");
+    if (cmd.points.empty()) {
+      dim = coords.size();
+    } else if (coords.size() != dim) {
+      return Err(name + ": inconsistent dimensions");
     }
-    cmd.points.push_back(std::move(point));
+    cmd.points.emplace_back(std::move(coords));
   }
   return cmd;
 }
@@ -408,6 +459,14 @@ Result<Command> ParseSubscribe(const std::vector<std::string>& tokens) {
 }  // namespace
 
 Result<Command> ParseCommand(const std::string& line) {
+  // Peek the verb: FEED lines, the bulk of the traffic, are scanned in
+  // place; every other command is tokenized.
+  TokenScanner scanner(line);
+  std::string_view peek;
+  if (scanner.Next(&peek)) {
+    if (peek == "FEED") return ParseFeed(scanner, /*stamped=*/false);
+    if (peek == "FEEDSTAMPED") return ParseFeed(scanner, /*stamped=*/true);
+  }
   const std::vector<std::string> tokens = SplitTokens(line);
   if (tokens.empty()) return Err("empty command");
   const std::string& verb = tokens[0];
@@ -424,8 +483,6 @@ Result<Command> ParseCommand(const std::string& line) {
     return cmd;
   }
   if (verb == "CREATE") return ParseCreate(tokens);
-  if (verb == "FEED") return ParseFeed(tokens, /*stamped=*/false);
-  if (verb == "FEEDSTAMPED") return ParseFeed(tokens, /*stamped=*/true);
   if (verb == "SAMPLE") return ParseSample(tokens);
   if (verb == "SUBSCRIBE") return ParseSubscribe(tokens);
   if (verb == "UNSUBSCRIBE") {

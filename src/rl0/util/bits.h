@@ -14,6 +14,13 @@ inline uint32_t CountLeadingZeros(uint64_t x) {
   return static_cast<uint32_t>(__builtin_clzll(x));
 }
 
+/// Number of trailing zero bits of x (64 for x == 0). Stand-in for
+/// C++20's std::countr_zero.
+inline uint32_t CountTrailingZeros(uint64_t x) {
+  if (x == 0) return 64;
+  return static_cast<uint32_t>(__builtin_ctzll(x));
+}
+
 /// Returns ⌈log2(x)⌉ for x ≥ 1 (0 for x == 1).
 inline uint32_t CeilLog2(uint64_t x) {
   if (x <= 1) return 0;

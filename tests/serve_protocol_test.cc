@@ -9,7 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -197,6 +203,254 @@ TEST(ParseCommandTest, FeedPointCountIsBounded) {
   std::string line = "FEED t1";
   for (size_t i = 0; i < kMaxPointsPerFeed + 1; ++i) line += " 1";
   EXPECT_FALSE(ParseCommand(line).ok());
+}
+
+// ------------------------------------- FEED parse vs the strtod rule
+//
+// ParseCommand scans FEED lines in place and decides most coordinates
+// with std::from_chars. Below is a verbatim copy of the token-based
+// strtod parser it replaced; over a seeded mix of well-formed and edge
+// inputs the two must agree on the outcome, the error text, every
+// coordinate's bits and every stamp.
+
+namespace strtod_reference {
+
+bool ParseDoubleToken(const std::string& tok, double* out) {
+  if (tok.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(tok.c_str(), &end);
+  if (end != tok.c_str() + tok.size()) return false;
+  if (errno == ERANGE || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseI64Token(const std::string& tok, int64_t* out) {
+  if (tok.empty() || tok[0] == '+') return false;
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(tok.c_str(), &end, 10);
+  if (end != tok.c_str() + tok.size()) return false;
+  if (errno == ERANGE) return false;
+  *out = static_cast<int64_t>(v);
+  return true;
+}
+
+std::vector<std::string> SplitTokens(const std::string& line) {
+  std::vector<std::string> tokens;
+  size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+    size_t start = i;
+    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
+    if (i > start) tokens.emplace_back(line, start, i - start);
+  }
+  return tokens;
+}
+
+Status Err(const std::string& msg) { return Status::InvalidArgument(msg); }
+
+bool ParsePointToken(const std::string& tok, Point* out) {
+  std::vector<double> coords;
+  size_t start = 0;
+  for (;;) {
+    const size_t comma = tok.find(',', start);
+    const std::string piece =
+        comma == std::string::npos ? tok.substr(start)
+                                   : tok.substr(start, comma - start);
+    double v;
+    if (!ParseDoubleToken(piece, &v)) return false;
+    coords.push_back(v);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  *out = Point(std::move(coords));
+  return true;
+}
+
+Result<Command> ParseFeed(const std::vector<std::string>& tokens,
+                          bool stamped) {
+  Command cmd;
+  cmd.type = stamped ? CommandType::kFeedStamped : CommandType::kFeed;
+  const char* name = stamped ? "FEEDSTAMPED" : "FEED";
+  if (tokens.size() < 2) {
+    return Err(std::string(name) + ": missing tenant name");
+  }
+  cmd.tenant = tokens[1];
+  if (tokens.size() < 3) {
+    return Err(std::string(name) + ": no points");
+  }
+  if (tokens.size() - 2 > kMaxPointsPerFeed) {
+    return Err(std::string(name) + ": too many points in one command");
+  }
+  size_t dim = 0;
+  for (size_t i = 2; i < tokens.size(); ++i) {
+    std::string coords_tok = tokens[i];
+    if (stamped) {
+      const size_t at = coords_tok.find('@');
+      if (at == std::string::npos) {
+        return Err("FEEDSTAMPED: expected stamp@coords, got '" +
+                   tokens[i] + "'");
+      }
+      int64_t stamp;
+      if (!ParseI64Token(coords_tok.substr(0, at), &stamp)) {
+        return Err("FEEDSTAMPED: bad stamp in '" + tokens[i] + "'");
+      }
+      cmd.stamps.push_back(stamp);
+      coords_tok.erase(0, at + 1);
+    }
+    Point point;
+    if (!ParsePointToken(coords_tok, &point)) {
+      return Err(std::string(name) + ": bad point '" + tokens[i] + "'");
+    }
+    if (i == 2) {
+      dim = point.dim();
+    } else if (point.dim() != dim) {
+      return Err(std::string(name) + ": inconsistent dimensions");
+    }
+    cmd.points.push_back(std::move(point));
+  }
+  return cmd;
+}
+
+Result<Command> ParseFeedLine(const std::string& line) {
+  const std::vector<std::string> tokens = SplitTokens(line);
+  return ParseFeed(tokens, tokens[0] == "FEEDSTAMPED");
+}
+
+}  // namespace strtod_reference
+
+/// Coordinate atoms around every boundary of the two number grammars.
+const char* const kEdgeAtoms[] = {
+    "+1", "+.5", "\v1", "\f1", "\r1", "0x1p3", "0X1P-3", "-0x1p3",
+    "1e-310", "4.9e-324", "-4.9e-324", "2.2250738585072011e-308",
+    "2.2250738585072012e-308", "2.2250738585072014e-308",
+    "-2.2250738585072014e-308", "2.2250738585072015e-308",
+    "1.7976931348623157e308", "1.7976931348623158e308", "1.8e308",
+    "1e400", "-1e400", "0", "-0", "0.0", "0e-400", "00", "007", "inf",
+    "-inf", "Infinity", "nan", "-nan", "nan(1)", "1.", ".5", "-.5", "1e",
+    "1e+", "1e-", "e5", ".", "-", "--1", "1..2", "1e5", "1E5", "1e+05",
+    "", "1 ", "1\v", "1x", "0.1e-307", "123456789012345678901234567890",
+    "0.000000000000000000000000000001", "9007199254740993", "-1e-5",
+};
+
+std::string RandomCoordinate(Xoshiro256pp* rng) {
+  char buf[64];
+  switch (rng->NextBounded(6)) {
+    case 0:
+      return kEdgeAtoms[rng->NextBounded(std::size(kEdgeAtoms))];
+    case 1: {
+      // Any magnitude, subnormals and overflow included.
+      const double mant = rng->NextDouble() * 2.0 - 1.0;
+      const int exp = static_cast<int>(rng->NextBounded(660)) - 330;
+      std::snprintf(buf, sizeof(buf), "%.17ge%d", mant, exp);
+      return buf;
+    }
+    case 2:
+      std::snprintf(buf, sizeof(buf), "%.6g",
+                    (rng->NextDouble() - 0.5) * 2000.0);
+      return buf;
+    default:
+      std::snprintf(buf, sizeof(buf), "%.17g",
+                    (rng->NextDouble() - 0.5) * 200.0);
+      return buf;
+  }
+}
+
+std::string RandomStamp(Xoshiro256pp* rng) {
+  static const char* const kBadStamps[] = {
+      "", "+5", "-", "abc", "5x", "9223372036854775808",
+      "-9223372036854775809", "\v5", "0x10", "1.5"};
+  if (rng->NextBounded(8) == 0) {
+    return kBadStamps[rng->NextBounded(std::size(kBadStamps))];
+  }
+  return std::to_string(static_cast<int64_t>(rng->NextBounded(2000000)) -
+                        1000000);
+}
+
+std::string RandomFeedLine(Xoshiro256pp* rng) {
+  const bool stamped = rng->NextBounded(2) == 0;
+  const auto blank = [rng] {
+    switch (rng->NextBounded(10)) {
+      case 0: return std::string("\t");
+      case 1: return std::string("  ");
+      default: return std::string(" ");
+    }
+  };
+  std::string line = stamped ? "FEEDSTAMPED" : "FEED";
+  if (rng->NextBounded(50) == 0) return line;  // no tenant
+  line += blank() + "t" + std::to_string(rng->NextBounded(4));
+  const size_t points = rng->NextBounded(6);  // 0: no points
+  const size_t dim = 1 + rng->NextBounded(5);
+  for (size_t i = 0; i < points; ++i) {
+    line += blank();
+    if (stamped && rng->NextBounded(30) != 0) line += RandomStamp(rng) + "@";
+    const size_t d = rng->NextBounded(10) == 0 ? 1 + rng->NextBounded(6) : dim;
+    for (size_t j = 0; j < d; ++j) {
+      if (j > 0) line += rng->NextBounded(60) == 0 ? ",," : ",";
+      line += RandomCoordinate(rng);
+    }
+    if (rng->NextBounded(40) == 0) line += ",";
+  }
+  if (rng->NextBounded(4) == 0) line += blank();
+  return line;
+}
+
+void ExpectSameParse(const std::string& line) {
+  const Result<Command> want = strtod_reference::ParseFeedLine(line);
+  const Result<Command> got = ParseCommand(line);
+  ASSERT_EQ(got.ok(), want.ok()) << line;
+  if (!want.ok()) {
+    ASSERT_EQ(got.status().message(), want.status().message()) << line;
+    return;
+  }
+  const Command& a = got.value();
+  const Command& b = want.value();
+  ASSERT_EQ(a.type, b.type) << line;
+  ASSERT_EQ(a.tenant, b.tenant) << line;
+  ASSERT_EQ(a.stamps, b.stamps) << line;
+  ASSERT_EQ(a.points.size(), b.points.size()) << line;
+  for (size_t i = 0; i < a.points.size(); ++i) {
+    ASSERT_EQ(a.points[i].dim(), b.points[i].dim()) << line;
+    ASSERT_EQ(std::memcmp(a.points[i].data(), b.points[i].data(),
+                          a.points[i].dim() * sizeof(double)),
+              0)
+        << line;
+  }
+}
+
+TEST(ParseCommandTest, FeedMatchesStrtodReference) {
+  Xoshiro256pp rng(0xFEED);
+  size_t accepted = 0;
+  for (int i = 0; i < 120000; ++i) {
+    const std::string line = RandomFeedLine(&rng);
+    ExpectSameParse(line);
+    if (HasFatalFailure()) return;
+    accepted += ParseCommand(line).ok() ? 1 : 0;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(accepted, 20000u);
+  EXPECT_LT(accepted, 100000u);
+
+  // Every atom alone, as a whole point and behind a stamp.
+  for (const char* atom : kEdgeAtoms) {
+    ExpectSameParse(std::string("FEED t ") + atom);
+    ExpectSameParse(std::string("FEED t 1,") + atom);
+    ExpectSameParse(std::string("FEEDSTAMPED t 3@") + atom);
+  }
+
+  // The point-count bound wins over a bad (or mis-dimensioned) point.
+  for (const char* first : {"x", "1,2", "7@1", "@"}) {
+    for (bool stamped : {false, true}) {
+      std::string line = stamped ? "FEEDSTAMPED t " : "FEED t ";
+      line += first;
+      for (size_t i = 0; i < kMaxPointsPerFeed; ++i) {
+        line += stamped ? " 1@1" : " 1";
+      }
+      ExpectSameParse(line);
+    }
+  }
 }
 
 // --------------------------------------------------- server over sockets

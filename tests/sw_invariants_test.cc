@@ -7,11 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "rl0/core/snapshot.h"
 #include "rl0/core/sw_fixed_sampler.h"
+#include "rl0/core/sw_group_table.h"
 #include "rl0/core/sw_sampler.h"
+#include "rl0/util/space.h"
 
 namespace rl0 {
 namespace {
@@ -59,12 +65,9 @@ TEST(SwInvariantsTest, RepIndexNeverAfterLatestIndex) {
     PreparedPoint prep;
     Point p{10.0 * g + 0.2 * (rng.NextDouble() - 0.5)};
     std::vector<uint64_t> adj;
-    sampler->context().grid.AdjacentCells(p, 1.0, &adj);
-    prep.point = &p;
     prep.stamp = t;
     prep.stream_index = static_cast<uint64_t>(t);
-    prep.cell_key = sampler->context().grid.CellKeyOf(p);
-    prep.adj_keys = &adj;
+    sampler->context().Prepare(p, &adj, &prep);
     sampler->InsertPrepared(prep);
 
     std::vector<GroupRecord> groups;
@@ -136,6 +139,187 @@ TEST(SwInvariantsTest, ExpireIsIdempotent) {
   EXPECT_EQ(sampler->group_count(), after_first);
   sampler->Expire(30);  // earlier horizon: no effect either
   EXPECT_EQ(sampler->group_count(), after_first);
+}
+
+// The hierarchy's level mask must equal the one recomputed from the level
+// tables (bit ℓ of key k ⇔ level ℓ has a live group whose representative
+// lies in cell k), with no stale entries.
+void ExpectMaskMatchesTables(const RobustL0SamplerSW& s, int step) {
+  std::map<uint64_t, uint64_t> expected;
+  for (size_t l = 0; l < s.num_levels(); ++l) {
+    const SwGroupTable& table = s.level(l).table();
+    for (uint32_t slot = 0; slot < table.slot_count(); ++slot) {
+      if (table.IsLive(slot)) {
+        expected[table.rep_cell(slot)] |= uint64_t{1} << l;
+      }
+    }
+  }
+  ASSERT_EQ(s.level_masks().live(), expected.size()) << "step " << step;
+  for (const auto& entry : expected) {
+    ASSERT_EQ(s.level_masks().Find(entry.first), entry.second)
+        << "step " << step << " key " << entry.first;
+  }
+}
+
+// The running space meter must equal a from-scratch recount of every
+// level (the walk the meter replaced: every live group plus its
+// reservoir).
+void ExpectSpaceMatchesRecount(const RobustL0SamplerSW& s, int step) {
+  const size_t dim = s.options().dim;
+  size_t total = 8;
+  for (size_t l = 0; l < s.num_levels(); ++l) {
+    const SwGroupTable& table = s.level(l).table();
+    size_t words = table.live() * GroupArenaWords(dim) + 4;
+    for (uint32_t slot = 0; slot < table.slot_count(); ++slot) {
+      if (table.IsLive(slot) && s.options().random_representative) {
+        words += table.reservoir(slot).SpaceWords(dim);
+      }
+    }
+    ASSERT_EQ(s.level(l).SpaceWords(), words) << "step " << step << " l=" << l;
+    total += words;
+  }
+  ASSERT_EQ(s.SpaceWords(), total) << "step " << step;
+}
+
+// A seeded run through every operation that creates or erases a cell
+// chain at some level: new representatives, expiry (also across a gap
+// wider than the window, which compacts the tables), pruning resets,
+// split cascades, query-time expiry, and a snapshot restore that
+// rebuilds every level through adoption.
+TEST(SwInvariantsTest, LevelMaskAndSpaceMeterMatchRecountAfterEveryStep) {
+  for (bool reservoir : {false, true}) {
+    SamplerOptions opts = BaseOptions(11);
+    opts.dim = 2;
+    opts.accept_cap = 80;
+    opts.random_representative = reservoir;
+    // A short time window over many ties: the top level (rate 1/8) is
+    // never pruned, so its table grows past the compaction threshold.
+    const int64_t window = 8;
+    auto sampler = std::make_unique<RobustL0SamplerSW>(
+        RobustL0SamplerSW::Create(opts, window).value());
+    Xoshiro256pp rng(12);
+    int64_t t = 0;
+    size_t peak_slots = 0;
+    size_t upper_groups = 0;
+    for (int step = 0; step < 6000; ++step) {
+      const int g = static_cast<int>(rng.NextBounded(1500));
+      const Point p{10.0 * (g % 40) + 0.4 * (rng.NextDouble() - 0.5),
+                    10.0 * (g / 40) + 0.4 * (rng.NextDouble() - 0.5)};
+      if (rng.NextBounded(40) == 0) t += 1;
+      if (rng.NextBounded(1500) == 0) t += 2 * window;
+      sampler->Insert(p, t);
+      if (rng.NextBounded(50) == 0) {
+        Xoshiro256pp query(static_cast<uint64_t>(step));
+        sampler->Sample(t, &query);
+      }
+      if (rng.NextBounded(400) == 0) {
+        std::string blob;
+        ASSERT_TRUE(SnapshotSamplerSW(*sampler, &blob).ok());
+        sampler = std::make_unique<RobustL0SamplerSW>(
+            RestoreSamplerSW(blob).value());
+      }
+      ExpectMaskMatchesTables(*sampler, step);
+      ExpectSpaceMatchesRecount(*sampler, step);
+      if (HasFatalFailure()) return;
+      for (size_t l = 0; l < sampler->num_levels(); ++l) {
+        peak_slots = std::max(peak_slots, sampler->level(l).table().slot_count());
+        if (l >= 2) upper_groups += sampler->level(l).group_count();
+      }
+    }
+    EXPECT_GE(peak_slots, 64u) << peak_slots;  // a gap can trigger compaction
+    EXPECT_GT(upper_groups, 0u);  // the cascades did reach upper levels
+  }
+}
+
+// The mask against a std::map reference under random Set/Reset traffic
+// over a small key space (long probe runs, wrap-around, growth and
+// backward-shift deletion), with levels up to 60 — no 32-bit boundary.
+TEST(SwInvariantsTest, CellLevelMaskMatchesReferenceMap) {
+  CellLevelMask mask;
+  std::map<uint64_t, uint64_t> reference;
+  Xoshiro256pp rng(13);
+  for (int step = 0; step < 200000; ++step) {
+    const uint64_t key = rng.NextBounded(3000) * 0x10001;
+    const uint32_t level = static_cast<uint32_t>(rng.NextBounded(61));
+    if (rng.NextBounded(2) == 0) {
+      mask.Set(key, level);
+      reference[key] |= uint64_t{1} << level;
+    } else {
+      mask.Reset(key, level);
+      auto it = reference.find(key);
+      if (it != reference.end()) {
+        it->second &= ~(uint64_t{1} << level);
+        if (it->second == 0) reference.erase(it);
+      }
+    }
+    if (step % 997 == 0) {
+      ASSERT_EQ(mask.live(), reference.size());
+      for (uint64_t k = 0; k < 3000; ++k) {
+        const auto it = reference.find(k * 0x10001);
+        ASSERT_EQ(mask.Find(k * 0x10001),
+                  it == reference.end() ? 0 : it->second);
+      }
+    }
+  }
+}
+
+// Slot ids in slot order (the iteration Sample / snapshots / the split
+// planner use).
+std::vector<uint64_t> IdsBySlot(const SwGroupTable& table) {
+  std::vector<uint64_t> ids;
+  for (uint32_t slot = 0; slot < table.slot_count(); ++slot) {
+    ids.push_back(table.IsLive(slot) ? table.id(slot) : ~uint64_t{0});
+  }
+  return ids;
+}
+
+// A Clear on an already-cleared table (also one compacted since) is a
+// no-op: two tables driven in lockstep, one of which repeats every Clear,
+// allocate the same slots, iterate in the same order and report the same
+// generation throughout.
+TEST(SwInvariantsTest, ClearOnClearedTableChangesNothing) {
+  PointStore store_a(1), store_b(1);
+  CellLevelMask masks_a, masks_b;
+  SwGroupTable a, b;
+  a.Bind(&store_a, &masks_a, 3);
+  b.Bind(&store_b, &masks_b, 3);
+  Xoshiro256pp rng(14);
+  uint64_t id = 0;
+  int64_t stamp = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t op = rng.NextBounded(100);
+    if (op < 70) {
+      const Point p{static_cast<double>(rng.NextBounded(50))};
+      const uint64_t cell = rng.NextBounded(40);
+      const bool accepted = rng.NextBounded(2) == 0;
+      ++stamp;
+      ASSERT_EQ(a.Add(id, p, id, cell, accepted, stamp),
+                b.Add(id, p, id, cell, accepted, stamp));
+      ++id;
+    } else if (op < 85) {
+      if (a.live() > 0) {
+        const uint32_t slot = a.OldestSlot();
+        a.Remove(slot);
+        b.Remove(slot);
+      }
+    } else if (op < 95) {
+      a.Clear();
+      b.Clear();
+      b.Clear();
+      if (rng.NextBounded(3) == 0) {
+        a.MaybeCompact();
+        b.MaybeCompact();
+        b.Clear();
+      }
+    } else {
+      a.MaybeCompact();
+      b.MaybeCompact();
+    }
+    ASSERT_EQ(a.generation(), b.generation()) << "step " << step;
+    ASSERT_EQ(a.live(), b.live());
+    ASSERT_EQ(IdsBySlot(a), IdsBySlot(b)) << "step " << step;
+    ASSERT_EQ(masks_a.live(), masks_b.live());
+  }
 }
 
 }  // namespace
