@@ -625,19 +625,15 @@ Status ParsePoolCheckpoint(const std::string& payload, PoolHeader* hdr,
 
 }  // namespace
 
-Status CheckpointPool(ShardedSwSamplerPool* pool, uint64_t journal_seq,
+/// Snaps the pool's header fields at a quiescent point and appends them
+/// to `out` — the one header writer of full and delta checkpoints. (A
+/// friend of the pool, hence outside the anonymous namespace.)
+void AppendPoolHeader(ShardedSwSamplerPool* pool, uint64_t journal_seq,
                       std::string* out) {
-  out->clear();
-  BinaryWriter writer(out);
-  writer.PutBytes(kPoolMagic, sizeof(kPoolMagic));
-  writer.PutU32(kPoolVersion);
-  // Snap the header fields at this quiescent point. (Friendship does not
-  // extend into the anonymous namespace, hence inline; kept byte-for-byte
-  // in step with CheckpointPoolDelta.)
   PoolHeader hdr;
   hdr.mode = pool->mode_->load(std::memory_order_relaxed);
-  hdr.shards = pool->shards_.size();
-  hdr.window = pool->window_;
+  hdr.shards = pool->num_shards();
+  hdr.window = pool->window();
   hdr.points_fed = pool->pipeline_->points_fed();
   hdr.latest_stamp = pool->pipeline_->latest_stamp();
   hdr.journal_seq = journal_seq;
@@ -651,10 +647,21 @@ Status CheckpointPool(ShardedSwSamplerPool* pool, uint64_t journal_seq,
       hdr.frontier = fe->stage->release_bound();
     }
   }
+  BinaryWriter writer(out);
   PutPoolHeader(&writer, hdr);
+}
+
+Status CheckpointPool(ShardedSwSamplerPool* pool, uint64_t journal_seq,
+                      std::string* out) {
+  out->clear();
+  BinaryWriter writer(out);
+  writer.PutBytes(kPoolMagic, sizeof(kPoolMagic));
+  writer.PutU32(kPoolVersion);
+  AppendPoolHeader(pool, journal_seq, out);
   std::string shard_blob;
-  for (RobustL0SamplerSW& shard : pool->shards_) {
-    if (Status st = SnapshotSamplerFullSW(&shard, &shard_blob); !st.ok()) {
+  for (size_t s = 0; s < pool->num_shards(); ++s) {
+    if (Status st = SnapshotSamplerFullSW(&pool->shard(s), &shard_blob);
+        !st.ok()) {
       return st;
     }
     writer.PutU64(shard_blob.size());
@@ -676,7 +683,7 @@ Status CheckpointPoolDelta(ShardedSwSamplerPool* pool,
       !st.ok()) {
     return st;
   }
-  if (base_hdr.shards != pool->shards_.size()) {
+  if (base_hdr.shards != pool->num_shards()) {
     return Status::InvalidArgument("base shard count mismatch");
   }
 
@@ -685,30 +692,12 @@ Status CheckpointPoolDelta(ShardedSwSamplerPool* pool,
   writer.PutBytes(kPoolDeltaMagic, sizeof(kPoolDeltaMagic));
   writer.PutU32(kPoolVersion);
   writer.PutU64(SnapshotChainChecksum(base));
-  // Same quiescent-point header snap as CheckpointPool.
-  PoolHeader hdr;
-  hdr.mode = pool->mode_->load(std::memory_order_relaxed);
-  hdr.shards = pool->shards_.size();
-  hdr.window = pool->window_;
-  hdr.points_fed = pool->pipeline_->points_fed();
-  hdr.latest_stamp = pool->pipeline_->latest_stamp();
-  hdr.journal_seq = journal_seq;
-  {
-    ReorderFrontEnd* fe = pool->reorder_fe_.get();
-    MutexLock lock(&fe->mu);
-    hdr.watermark_sent = fe->watermark_sent;
-    hdr.last_watermark = fe->last_watermark;
-    if (fe->stage && fe->stage->has_watermark()) {
-      hdr.has_frontier = true;
-      hdr.frontier = fe->stage->release_bound();
-    }
-  }
-  PutPoolHeader(&writer, hdr);
+  AppendPoolHeader(pool, journal_seq, out);
   std::string shard_delta;
-  for (size_t s = 0; s < pool->shards_.size(); ++s) {
+  for (size_t s = 0; s < pool->num_shards(); ++s) {
     const std::string base_shard(base_payload, base_blobs[s].first,
                                  base_blobs[s].second);
-    if (Status st = SnapshotSamplerDeltaSW(&pool->shards_[s],
+    if (Status st = SnapshotSamplerDeltaSW(&pool->shard(s),
                                            SnapshotChainChecksum(base_shard),
                                            &shard_delta);
         !st.ok()) {

@@ -1,81 +1,148 @@
 #include "rl0/core/sharded_pool.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "rl0/util/check.h"
 
 namespace rl0 {
 
-namespace {
-
-/// First position i inside a chunk with (index_base + i) % stride ==
-/// residue — the global-residue partition both pools' sinks are built on
-/// (a broadcast pool has stride 1: every lane reads every point). One
-/// copy of this arithmetic: it is what makes per-shard streams invariant
-/// under re-chunking (the determinism contract of the pipeline tests).
-size_t StrideStart(size_t residue, size_t stride, uint64_t index_base) {
-  return (residue + stride - static_cast<size_t>(index_base % stride)) %
-         stride;
-}
-
-}  // namespace
-
-Result<ShardedSamplerPool> ShardedSamplerPool::Create(
-    const SamplerOptions& options, size_t shards,
-    const IngestPool::Options& pipeline_options) {
-  if (shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  std::vector<RobustL0SamplerIW> samplers;
-  samplers.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    // Identical options (and seed!) on purpose: AbsorbFrom requires the
-    // shared grid/hash randomness of mergeable sketches.
-    Result<RobustL0SamplerIW> sampler = RobustL0SamplerIW::Create(options);
-    if (!sampler.ok()) return sampler.status();
-    samplers.push_back(std::move(sampler).value());
-  }
-  return ShardedSamplerPool(std::move(samplers), pipeline_options);
-}
-
-ShardedSamplerPool::ShardedSamplerPool(
-    std::vector<RobustL0SamplerIW> shards,
-    const IngestPool::Options& pipeline_options, bool broadcast)
+template <typename Sampler>
+LanePool<Sampler>::LanePool(std::vector<Sampler> shards,
+                            const IngestPool::Options& pipeline_options,
+                            bool broadcast)
     : shards_(std::move(shards)) {
   const size_t stride = broadcast ? 1 : shards_.size();
   std::vector<IngestPool::Sink> sinks;
   sinks.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    RobustL0SamplerIW* shard = &shards_[s];
+    Sampler* shard = &shards_[s];
     sinks.push_back([shard, residue = s % stride, stride](
-                        Span<const Point> points, Span<const int64_t>,
-                        uint64_t index_base, const int64_t*) {
-      // Global-residue partition: this shard owns the points at global
-      // stream positions ≡ residue (mod stride), so per-shard input
-      // streams — and decisions — are invariant under re-chunking.
-      shard->InsertStrided(points, StrideStart(residue, stride, index_base),
-                           stride, index_base);
+                        Span<const Point> points, Span<const int64_t> stamps,
+                        uint64_t index_base, const int64_t* watermark) {
+      // Global-residue partition: point i of the chunk has global
+      // position index_base + i, and this lane owns the positions ≡
+      // residue (mod stride), starting at chunk position `start`. A
+      // windowed lane stamps each point with that position in sequence
+      // mode, else with the explicit stamp riding the chunk. Either way
+      // the shard's input — window-expiry schedule included — is
+      // invariant under re-chunking (the pipeline tests' determinism
+      // contract).
+      const size_t start =
+          (residue + stride - static_cast<size_t>(index_base % stride)) %
+          stride;
+      if constexpr (std::is_same_v<Sampler, RobustL0SamplerSW>) {
+        if (watermark != nullptr) {
+          // Event-time advance without points: a lane whose residue class
+          // saw nothing recent still learns how far time has progressed
+          // (scratch state only — snapshots stay byte-identical to the
+          // strict sorted feed).
+          shard->NoteWatermark(*watermark);
+          return;
+        }
+        if (!stamps.empty()) {
+          shard->InsertStridedStamped(points, stamps, start, stride,
+                                      index_base);
+          return;
+        }
+      }
+      shard->InsertStrided(points, start, stride, index_base);
     });
   }
   pipeline_ = std::make_unique<IngestPool>(std::move(sinks), pipeline_options);
 }
 
-void ShardedSamplerPool::Feed(Span<const Point> points) {
-  pipeline_->Feed(IngestPool::Chunk::Owning(
+template <typename Sampler>
+template <typename Make>
+Result<std::vector<Sampler>> LanePool<Sampler>::MakeShards(size_t shards,
+                                                           Make make) {
+  if (shards < 1) {
+    return Status::InvalidArgument("shards must be >= 1");
+  }
+  std::vector<Sampler> samplers;
+  samplers.reserve(shards);
+  for (size_t s = 0; s < shards; ++s) {
+    Result<Sampler> sampler = make();
+    if (!sampler.ok()) return sampler.status();
+    samplers.push_back(std::move(sampler).value());
+  }
+  return Result<std::vector<Sampler>>(std::move(samplers));
+}
+
+template <typename Sampler>
+void LanePool<Sampler>::FeedSequence(IngestPool::Chunk chunk) {
+  pipeline_->Feed(std::move(chunk));
+}
+
+template <typename Sampler>
+void LanePool<Sampler>::Feed(Span<const Point> points) {
+  FeedSequence(IngestPool::Chunk::Owning(
       std::vector<Point>(points.begin(), points.end())));
 }
 
-void ShardedSamplerPool::FeedBorrowed(Span<const Point> points) {
-  pipeline_->Feed({points});
+template <typename Sampler>
+void LanePool<Sampler>::FeedBorrowed(Span<const Point> points) {
+  FeedSequence({points});
 }
 
-void ShardedSamplerPool::Drain() { pipeline_->Drain(); }
+template <typename Sampler>
+void LanePool<Sampler>::Drain() {
+  pipeline_->Drain();
+}
 
-void ShardedSamplerPool::ConsumeParallel(Span<const Point> points) {
+template <typename Sampler>
+void LanePool<Sampler>::ConsumeParallel(Span<const Point> points) {
   // The span outlives the call because Drain is the last thing we do.
   FeedBorrowed(points);
   Drain();
+}
+
+template <typename Sampler>
+void LanePool<Sampler>::QuiescedRun(const std::function<void()>& fn) {
+  pipeline_->QuiescedRun(fn);
+}
+
+template <typename Sampler>
+uint64_t LanePool<Sampler>::points_processed() const {
+  uint64_t total = 0;
+  for (const Sampler& sampler : shards_) total += sampler.points_processed();
+  return total;
+}
+
+template <typename Sampler>
+uint64_t LanePool<Sampler>::points_fed() const {
+  return pipeline_->points_fed();
+}
+
+template <typename Sampler>
+size_t LanePool<Sampler>::SpaceWords() const {
+  size_t total = 0;
+  for (const Sampler& sampler : shards_) total += sampler.SpaceWords();
+  return total;
+}
+
+template <typename Sampler>
+DupFilterStats LanePool<Sampler>::FilterStats() const {
+  DupFilterStats stats;
+  for (const Sampler& sampler : shards_) stats += sampler.filter_stats();
+  return stats;
+}
+
+template class LanePool<RobustL0SamplerIW>;
+template class LanePool<RobustL0SamplerSW>;
+
+// ------------------------------------------------------- infinite window
+
+Result<ShardedSamplerPool> ShardedSamplerPool::Create(
+    const SamplerOptions& options, size_t shards,
+    const IngestPool::Options& pipeline_options) {
+  // Identical options (and seed!) on purpose: AbsorbFrom requires the
+  // shared grid/hash randomness of mergeable sketches.
+  Result<std::vector<RobustL0SamplerIW>> samplers = MakeShards(
+      shards, [&options] { return RobustL0SamplerIW::Create(options); });
+  if (!samplers.ok()) return samplers.status();
+  return ShardedSamplerPool(std::move(samplers).value(), pipeline_options);
 }
 
 Result<RobustL0SamplerIW> ShardedSamplerPool::Merged() const {
@@ -90,28 +157,8 @@ Result<RobustL0SamplerIW> ShardedSamplerPool::Merged() const {
 Result<RobustL0SamplerIW> ShardedSamplerPool::MergedQuiesced() {
   Result<RobustL0SamplerIW> merged =
       Status::Internal("quiesced merge did not run");
-  pipeline_->QuiescedRun([this, &merged] { merged = Merged(); });
+  QuiescedRun([this, &merged] { merged = Merged(); });
   return merged;
-}
-
-uint64_t ShardedSamplerPool::points_processed() const {
-  uint64_t total = 0;
-  for (const RobustL0SamplerIW& sampler : shards_) {
-    total += sampler.points_processed();
-  }
-  return total;
-}
-
-uint64_t ShardedSamplerPool::points_fed() const {
-  return pipeline_->points_fed();
-}
-
-size_t ShardedSamplerPool::SpaceWords() const {
-  size_t total = 0;
-  for (const RobustL0SamplerIW& sampler : shards_) {
-    total += sampler.SpaceWords();
-  }
-  return total;
 }
 
 // ---------------------------------------------------------- windowed mode
@@ -119,61 +166,25 @@ size_t ShardedSamplerPool::SpaceWords() const {
 Result<ShardedSwSamplerPool> ShardedSwSamplerPool::Create(
     const SamplerOptions& options, int64_t window, size_t shards,
     const IngestPool::Options& pipeline_options) {
-  if (shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  std::vector<RobustL0SamplerSW> samplers;
-  samplers.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    // Identical options (and seed!): the shards must share one grid and
-    // one nested cell hash for their window samples to be mergeable.
-    Result<RobustL0SamplerSW> sampler =
-        RobustL0SamplerSW::Create(options, window);
-    if (!sampler.ok()) return sampler.status();
-    samplers.push_back(std::move(sampler).value());
-  }
-  return ShardedSwSamplerPool(std::move(samplers), window, pipeline_options);
+  // Identical options (and seed!): the shards must share one grid and
+  // one nested cell hash for their window samples to be mergeable.
+  Result<std::vector<RobustL0SamplerSW>> samplers =
+      MakeShards(shards, [&options, window] {
+        return RobustL0SamplerSW::Create(options, window);
+      });
+  if (!samplers.ok()) return samplers.status();
+  return ShardedSwSamplerPool(std::move(samplers).value(), window,
+                              pipeline_options);
 }
 
 ShardedSwSamplerPool::ShardedSwSamplerPool(
     std::vector<RobustL0SamplerSW> shards, int64_t window,
     const IngestPool::Options& pipeline_options, bool broadcast)
-    : shards_(std::move(shards)), window_(window),
+    : LanePool(std::move(shards), pipeline_options, broadcast),
+      window_(window),
       mode_(std::make_unique<std::atomic<uint8_t>>(0)),
       reorder_fe_(std::make_unique<ReorderFrontEnd>()),
-      journal_mu_(std::make_unique<Mutex>()) {
-  const size_t stride = broadcast ? 1 : shards_.size();
-  std::vector<IngestPool::Sink> sinks;
-  sinks.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    RobustL0SamplerSW* shard = &shards_[s];
-    sinks.push_back([shard, residue = s % stride, stride](
-                        Span<const Point> points, Span<const int64_t> stamps,
-                        uint64_t index_base, const int64_t* watermark) {
-      if (watermark != nullptr) {
-        // Event-time advance without points: a lane whose residue class
-        // saw nothing recent still learns how far time has progressed
-        // (scratch state only — snapshots stay byte-identical to the
-        // strict sorted feed).
-        shard->NoteWatermark(*watermark);
-        return;
-      }
-      // Global-residue partition. Point i of the chunk has global
-      // position index_base + i; its stamp is that position in sequence
-      // mode, else the explicit stamp riding the chunk. Either way the
-      // shard's input — window-expiry schedule included — is invariant
-      // under re-chunking.
-      const size_t start = StrideStart(residue, stride, index_base);
-      if (stamps.empty()) {
-        shard->InsertStrided(points, start, stride, index_base);
-      } else {
-        shard->InsertStridedStamped(points, stamps, start, stride,
-                                    index_base);
-      }
-    });
-  }
-  pipeline_ = std::make_unique<IngestPool>(std::move(sinks), pipeline_options);
-}
+      journal_mu_(std::make_unique<Mutex>()) {}
 
 void ShardedSwSamplerPool::LatchMode(StampMode mode) {
   uint8_t expected = static_cast<uint8_t>(StampMode::kUnset);
@@ -214,14 +225,8 @@ void ShardedSwSamplerPool::FeedChunk(StampMode mode, IngestPool::Chunk chunk,
   enqueue();
 }
 
-void ShardedSwSamplerPool::Feed(Span<const Point> points) {
-  FeedChunk(StampMode::kSequence,
-            IngestPool::Chunk::Owning(
-                std::vector<Point>(points.begin(), points.end())));
-}
-
-void ShardedSwSamplerPool::FeedBorrowed(Span<const Point> points) {
-  FeedChunk(StampMode::kSequence, {points});
+void ShardedSwSamplerPool::FeedSequence(IngestPool::Chunk chunk) {
+  FeedChunk(StampMode::kSequence, std::move(chunk));
 }
 
 void ShardedSwSamplerPool::FeedStamped(Span<const Point> points,
@@ -309,13 +314,6 @@ ShardedSwSamplerPool::TakeLateSideChannel() {
   MutexLock lock(&fe->mu);
   if (!fe->stage) return {};
   return fe->stage->TakeLate();
-}
-
-void ShardedSwSamplerPool::Drain() { pipeline_->Drain(); }
-
-void ShardedSwSamplerPool::ConsumeParallel(Span<const Point> points) {
-  FeedBorrowed(points);
-  Drain();
 }
 
 int64_t ShardedSwSamplerPool::now() const {
@@ -415,7 +413,7 @@ std::optional<SampleItem> ShardedSwSamplerPool::SampleLatest(
 std::optional<SampleItem> ShardedSwSamplerPool::SampleQuiesced(
     Xoshiro256pp* rng) {
   std::optional<SampleItem> sample;
-  pipeline_->QuiescedRun([this, rng, &sample] {
+  QuiescedRun([this, rng, &sample] {
     // Each shard is queried at its own processed prefix: its event time
     // (watermark() — the latest stamp unless a broadcast watermark moved
     // past it on the bounded-lateness path). Expiring at a stamp the
@@ -427,30 +425,6 @@ std::optional<SampleItem> ShardedSwSamplerPool::SampleQuiesced(
     if (!pool.empty()) sample = pool[rng->NextBounded(pool.size())];
   });
   return sample;
-}
-
-void ShardedSwSamplerPool::QuiescedRun(const std::function<void()>& fn) {
-  pipeline_->QuiescedRun(fn);
-}
-
-uint64_t ShardedSwSamplerPool::points_processed() const {
-  uint64_t total = 0;
-  for (const RobustL0SamplerSW& sampler : shards_) {
-    total += sampler.points_processed();
-  }
-  return total;
-}
-
-uint64_t ShardedSwSamplerPool::points_fed() const {
-  return pipeline_->points_fed();
-}
-
-size_t ShardedSwSamplerPool::SpaceWords() const {
-  size_t total = 0;
-  for (const RobustL0SamplerSW& sampler : shards_) {
-    total += sampler.SpaceWords();
-  }
-  return total;
 }
 
 }  // namespace rl0

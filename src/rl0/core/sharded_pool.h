@@ -4,25 +4,29 @@
 // use many cores — and the pattern behind the distributed setting of
 // AbsorbFrom — is sharding: partition the stream across S samplers created
 // with identical options (shared grid/hash randomness), feed each shard
-// from its own thread, and merge on query. ShardedSamplerPool packages
-// that pattern on top of a persistent IngestPool: one long-lived worker
-// per shard, bounded per-shard chunk queues with backpressure, and a
-// Merged() view built with RobustL0SamplerIW::AbsorbFrom.
+// from its own thread, and merge on query. LanePool<Sampler> packages that
+// pattern on top of a persistent IngestPool: one long-lived worker per
+// shard, bounded per-shard chunk queues with backpressure, and the
+// Drain/QuiescedRun barriers. ShardedSamplerPool (infinite window, merged
+// with RobustL0SamplerIW::AbsorbFrom) and ShardedSwSamplerPool (sliding
+// windows) are its two users and add only what their sampler needs.
 //
 // Partition: shard s receives the points at *global* stream positions
-// ≡ s (mod S), in stream order, via the strided batch path
-// (RobustL0SamplerIW::InsertStrided). Because the residue class is taken
-// over global indices, each shard's input subsequence — and therefore its
-// entire decision trajectory — is independent of how the stream was cut
-// into Feed chunks. A later Merged() resolves groups judged by several
-// shards deterministically by true arrival order.
+// ≡ s (mod S), in stream order, via the samplers' strided batch paths
+// (InsertStrided / InsertStridedStamped). Because the residue class is
+// taken over global indices, each shard's input subsequence — and
+// therefore its entire decision trajectory — is independent of how the
+// stream was cut into Feed chunks. A later merge resolves groups judged
+// by several shards deterministically by true arrival order. The F0
+// estimators build broadcast pools instead (stride 1: every lane reads
+// the whole stream).
 //
 // Concurrency contract: Feed/FeedBorrowed are safe from any number of
 // threads; each shard is only ever touched by its own worker.
 // Drain() is the barrier: after it returns (with no concurrent feeders),
-// Merged(), shard() and points_processed() read quiescent state.
-// MergedQuiesced() is the exception that needs no barrier — it pauses the
-// workers between chunks, so it is safe concurrently with ongoing
+// merges, shard() and points_processed() read quiescent state. The
+// *Quiesced queries are the exception that needs no barrier — they pause
+// the workers between chunks, so they are safe concurrently with ongoing
 // feeding (each shard then contributes a prefix of its stream).
 
 #ifndef RL0_CORE_SHARDED_POOL_H_
@@ -33,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -47,27 +52,23 @@
 
 namespace rl0 {
 
-/// A pool of identically-seeded samplers fed in parallel by a persistent
-/// worker pipeline.
-class ShardedSamplerPool {
+/// S samplers of one type fed as the lanes of one persistent IngestPool
+/// (see the file comment). The base of both sharded pools.
+template <typename Sampler>
+class LanePool {
  public:
-  /// Creates `shards` samplers with identical options and the persistent
-  /// pipeline (its workers start on the first feed). Requires shards ≥ 1.
-  static Result<ShardedSamplerPool> Create(
-      const SamplerOptions& options, size_t shards,
-      const IngestPool::Options& pipeline_options = IngestPool::Options());
-
   /// Number of shards.
   size_t num_shards() const { return shards_.size(); }
 
   /// Direct access to a shard. Requires a quiescent pipeline (after
   /// Drain, or before any feeding).
-  RobustL0SamplerIW& shard(size_t i) { return shards_[i]; }
-  const RobustL0SamplerIW& shard(size_t i) const { return shards_[i]; }
+  Sampler& shard(size_t i) { return shards_[i]; }
+  const Sampler& shard(size_t i) const { return shards_[i]; }
 
   /// Streams `points` into the pipeline as one chunk (copied; the pool
   /// has its own lifetime for the data). Returns as soon as the chunk is
-  /// queued on every shard — call Drain() before querying.
+  /// queued on every shard — call Drain() before querying. A windowed
+  /// pool stamps every point with its global stream position.
   /// (std::vector<Point> converts implicitly.)
   void Feed(Span<const Point> points);
 
@@ -84,6 +85,64 @@ class ShardedSamplerPool {
   /// thread scheduling or chunk boundaries.
   void ConsumeParallel(Span<const Point> points);
 
+  /// Total points across shards. Requires a quiescent pipeline.
+  uint64_t points_processed() const;
+
+  /// Points handed to the pool so far (fed or consumed; any thread).
+  uint64_t points_fed() const;
+
+  /// Total space across shards. Requires a quiescent pipeline.
+  size_t SpaceWords() const;
+
+  /// Summed duplicate-suppression counters over the per-lane filters
+  /// (each shard owns its own front-end; see core/dup_filter.h).
+  /// Requires a quiescent pipeline.
+  DupFilterStats FilterStats() const;
+
+ protected:
+  /// Builds the pipeline around pre-built samplers, one lane sink per
+  /// shard. `broadcast` makes every lane consume the whole stream
+  /// (stride 1) instead of its residue class. The pipeline exists before
+  /// the pool is visible to any other thread, so concurrent Feeds never
+  /// race on its creation. The sinks capture addresses of shards_
+  /// elements: stable across moves of the pool (the vector's heap buffer
+  /// moves with it) because shards_ never resizes.
+  LanePool(std::vector<Sampler> shards,
+           const IngestPool::Options& pipeline_options, bool broadcast);
+  LanePool(LanePool&&) noexcept = default;
+  LanePool& operator=(LanePool&&) noexcept = default;
+  ~LanePool() = default;
+
+  /// `shards` ≥ 1 samplers from `make()` — the Create step of both pools.
+  template <typename Make>
+  static Result<std::vector<Sampler>> MakeShards(size_t shards, Make make);
+
+  /// Where Feed/FeedBorrowed/ConsumeParallel hand their sequence chunk:
+  /// straight to the pipeline, unless the pool journals its feeds.
+  virtual void FeedSequence(IngestPool::Chunk chunk);
+
+  /// Runs `fn` with every worker paused between chunks (see
+  /// IngestPool::QuiescedRun: `fn` must not call this pool's feed-side
+  /// APIs — Feed*/Drain/points_fed — or it can deadlock).
+  void QuiescedRun(const std::function<void()>& fn);
+
+  std::vector<Sampler> shards_;
+  std::unique_ptr<IngestPool> pipeline_;
+};
+
+extern template class LanePool<RobustL0SamplerIW>;
+extern template class LanePool<RobustL0SamplerSW>;
+
+/// A pool of identically-seeded infinite-window samplers fed in parallel
+/// by a persistent worker pipeline.
+class ShardedSamplerPool final : public LanePool<RobustL0SamplerIW> {
+ public:
+  /// Creates `shards` samplers with identical options and the persistent
+  /// pipeline (its workers start on the first feed). Requires shards ≥ 1.
+  static Result<ShardedSamplerPool> Create(
+      const SamplerOptions& options, size_t shards,
+      const IngestPool::Options& pipeline_options = IngestPool::Options());
+
   /// A merged sampler over the union of all shards' streams (copy of
   /// shard 0 absorbing the rest; see AbsorbFrom's guarantee). Requires a
   /// quiescent pipeline (after Drain).
@@ -97,42 +156,15 @@ class ShardedSamplerPool {
   /// IngestPool::QuiescedRun's deadlock caveat.
   Result<RobustL0SamplerIW> MergedQuiesced();
 
-  /// Total points across shards. Requires a quiescent pipeline.
-  uint64_t points_processed() const;
-
-  /// Points handed to the pool so far (fed or consumed; any thread).
-  uint64_t points_fed() const;
-
-  /// Total space across shards. Requires a quiescent pipeline.
-  size_t SpaceWords() const;
-
-  /// Summed duplicate-suppression counters over the per-lane filters
-  /// (each shard owns its own front-end; see core/dup_filter.h).
-  /// Requires a quiescent pipeline.
-  DupFilterStats FilterStats() const {
-    DupFilterStats stats;
-    for (const RobustL0SamplerIW& s : shards_) stats += s.filter_stats();
-    return stats;
-  }
-
  private:
   // The F0 estimator runs its differently seeded copies as broadcast
   // lanes of a pool.
   friend class F0EstimatorIW;
 
-  /// Builds the pipeline around pre-built samplers. `broadcast` makes
-  /// every lane consume the whole stream (stride 1) instead of its
-  /// residue class. The pipeline exists before the pool is visible to any
-  /// other thread, so concurrent Feeds never race on its creation. The
-  /// sinks capture addresses of shards_ elements: stable across moves of
-  /// the pool (the vector's heap buffer moves with it) because shards_
-  /// never resizes.
   ShardedSamplerPool(std::vector<RobustL0SamplerIW> shards,
                      const IngestPool::Options& pipeline_options,
-                     bool broadcast = false);
-
-  std::vector<RobustL0SamplerIW> shards_;
-  std::unique_ptr<IngestPool> pipeline_;
+                     bool broadcast = false)
+      : LanePool(std::move(shards), pipeline_options, broadcast) {}
 };
 
 /// The windowed mode of the sharded pool: S sliding-window hierarchies
@@ -162,8 +194,8 @@ class ShardedSamplerPool {
 /// dedupes reports within distance α of each other, keeping the report
 /// with the latest stream index — exact for well-separated streams, the
 /// same contract as RobustL0SamplerIW::AbsorbFrom. The concurrency
-/// contract (Feed*/Drain/QuiescedRun) matches ShardedSamplerPool.
-class ShardedSwSamplerPool {
+/// contract (Feed*/Drain/QuiescedRun) is LanePool's.
+class ShardedSwSamplerPool final : public LanePool<RobustL0SamplerSW> {
  public:
   /// Creates `shards` identically-seeded windowed samplers and the
   /// persistent pipeline (its workers start on the first feed). Requires
@@ -172,20 +204,7 @@ class ShardedSwSamplerPool {
       const SamplerOptions& options, int64_t window, size_t shards,
       const IngestPool::Options& pipeline_options = IngestPool::Options());
 
-  size_t num_shards() const { return shards_.size(); }
   int64_t window() const { return window_; }
-
-  /// Direct access to a shard. Requires a quiescent pipeline.
-  RobustL0SamplerSW& shard(size_t i) { return shards_[i]; }
-  const RobustL0SamplerSW& shard(size_t i) const { return shards_[i]; }
-
-  /// Streams `points` into the pipeline as one chunk (copied). Returns as
-  /// soon as the chunk is queued on every shard — Drain() before querying.
-  /// Sequence mode: stamps are global stream positions.
-  void Feed(Span<const Point> points);
-  /// As Feed but zero-copy: `points` must stay valid until the next
-  /// Drain() returns.
-  void FeedBorrowed(Span<const Point> points);
 
   /// Streams one explicitly stamped chunk (time-based windows; copied):
   /// `stamps[i]` is the stamp of `points[i]`. Stamps must align with the
@@ -239,13 +258,6 @@ class ShardedSwSamplerPool {
   /// with no sink set), in arrival order.
   std::vector<std::pair<Point, int64_t>> TakeLateSideChannel();
 
-  /// Blocks until everything fed before this call is consumed by every
-  /// shard. Safe from any thread, also concurrently with feeding.
-  void Drain();
-
-  /// Feeds `points` and drains (the blocking convenience call).
-  void ConsumeParallel(Span<const Point> points);
-
   /// The stamp of the most recently fed point — the global position of
   /// the stream's last point in sequence mode, the last explicit stamp in
   /// time mode; -1 before any feeding.
@@ -295,23 +307,7 @@ class ShardedSwSamplerPool {
   /// Runs `fn` with every worker paused between chunks (checkpointing a
   /// shard with SnapshotSamplerSW while the stream flows). `fn` must not
   /// call this pool's feed-side APIs (deadlock caveat above).
-  void QuiescedRun(const std::function<void()>& fn);
-
-  /// Total points across shards. Requires a quiescent pipeline.
-  uint64_t points_processed() const;
-  /// Points handed to the pool so far (any thread).
-  uint64_t points_fed() const;
-  /// Total space across shards. Requires a quiescent pipeline.
-  size_t SpaceWords() const;
-
-  /// Summed duplicate-suppression counters over the per-lane filters
-  /// (each shard owns its own front-end; see core/dup_filter.h).
-  /// Requires a quiescent pipeline.
-  DupFilterStats FilterStats() const {
-    DupFilterStats stats;
-    for (const RobustL0SamplerSW& s : shards_) stats += s.filter_stats();
-    return stats;
-  }
+  using LanePool::QuiescedRun;
 
   /// Durability tap on the feed path (core/checkpoint.h). When set, every
   /// fed chunk is reported to the sink *before* it enters the pipeline,
@@ -331,14 +327,11 @@ class ShardedSwSamplerPool {
   void SetJournalSink(JournalSink sink) { journal_ = std::move(sink); }
 
  private:
-  // Checkpoint/recovery (core/checkpoint.h) reads the private header
-  // fields (mode, counters, reorder frontier) and rebuilds a pool around
-  // restored shards via the private constructor.
-  friend Status CheckpointPool(ShardedSwSamplerPool* pool,
+  // Checkpoint/recovery (core/checkpoint.cc) snapshots the private
+  // header fields (mode, counters, reorder frontier) and rebuilds a pool
+  // around restored shards via the private constructor.
+  friend void AppendPoolHeader(ShardedSwSamplerPool* pool,
                                uint64_t journal_seq, std::string* out);
-  friend Status CheckpointPoolDelta(ShardedSwSamplerPool* pool,
-                                    const std::string& base,
-                                    uint64_t journal_seq, std::string* out);
   friend Result<ShardedSwSamplerPool> RecoverPool(
       const std::string& checkpoint, const std::string& journal,
       const IngestPool::Options& pipeline_options);
@@ -350,8 +343,8 @@ class ShardedSwSamplerPool {
   /// first feed; mixing modes is a programming error (CHECK-fails).
   enum class StampMode : uint8_t { kUnset = 0, kSequence = 1, kTime = 2 };
 
-  /// Builds the pipeline around pre-built samplers, one lane sink per
-  /// shard; `broadcast` as in ShardedSamplerPool's constructor.
+  /// Builds the pipeline around pre-built samplers; `broadcast` as in
+  /// LanePool's constructor.
   ShardedSwSamplerPool(std::vector<RobustL0SamplerSW> shards, int64_t window,
                        const IngestPool::Options& pipeline_options,
                        bool broadcast = false);
@@ -378,10 +371,10 @@ class ShardedSwSamplerPool {
   /// order. With no sink, just enqueues.
   void FeedChunk(StampMode mode, IngestPool::Chunk chunk,
                  const int64_t* watermark = nullptr);
+  /// Feed/FeedBorrowed/ConsumeParallel: a journaled sequence chunk.
+  void FeedSequence(IngestPool::Chunk chunk) override;
 
-  std::vector<RobustL0SamplerSW> shards_;
   int64_t window_;
-  std::unique_ptr<IngestPool> pipeline_;
   /// Heap-allocated so the pool stays movable.
   std::unique_ptr<std::atomic<uint8_t>> mode_;
   /// Bounded-lateness front end of FeedStampedLate: the reorder stage

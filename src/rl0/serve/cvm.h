@@ -14,8 +14,10 @@
 // It does NOT collapse near-duplicates; it is a monitoring signal (how
 // many distinct raw points has this tenant seen), not the paper's
 // robust F0. The protocol reports it as `f0_exact` to keep the
-// distinction visible, and the robust estimate remains available
-// offline via `rl0_cli f0`.
+// distinction visible. The robust estimate remains available offline
+// via `rl0_cli count`: the infinite-window F0EstimatorIW, which counts
+// each group of near-duplicates once, where CVM counts every distinct
+// byte pattern.
 //
 // Properties: O(capacity) memory, O(1) amortized update, (ε, δ)
 // guarantees per the CVM paper for capacity ≈ (12/ε²)·log₂(8m/δ).
