@@ -1,7 +1,7 @@
 #include "rl0/core/checkpoint.h"
 
 #include <cstring>
-#include <mutex>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -31,7 +31,9 @@ constexpr uint8_t kKindSW = 2;
 constexpr char kPoolMagic[8] = {'R', 'L', '0', 'C', 'K', 'P', 'T', '\0'};
 constexpr char kPoolDeltaMagic[8] = {'R', 'L', '0', 'C', 'K', 'P', 'D',
                                      '\0'};
-constexpr uint32_t kPoolVersion = 1;
+/// Version 2 added the reorder stage's lateness bound to the header;
+/// version-1 checkpoints are rejected.
+constexpr uint32_t kPoolVersion = 2;
 
 constexpr char kJournalMagic[8] = {'R', 'L', '0', 'J', 'R', 'N', 'L', '\0'};
 constexpr uint32_t kJournalVersion = 1;
@@ -43,38 +45,6 @@ constexpr size_t kRecordFixedBytes = 4 + 1 + 8 + 8 + 8;
 /// Upper bound on a believable point dimension in any header field —
 /// rejects counts that would make per-record sizes overflow.
 constexpr uint64_t kMaxDim = uint64_t{1} << 20;
-
-/// FNV-1a finalized with SplitMix64 — must match core/snapshot.cc.
-uint64_t ChecksumRange(const char* data, size_t length) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < length; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 0x100000001B3ULL;
-  }
-  return SplitMix64(h);
-}
-
-uint64_t Checksum(const std::string& data, size_t length) {
-  return ChecksumRange(data.data(), length);
-}
-
-/// Verifies the trailing checksum and returns the payload prefix.
-Result<std::string> CheckedPayload(const std::string& blob) {
-  if (blob.size() < sizeof(uint64_t)) {
-    return Status::InvalidArgument("blob too small");
-  }
-  const size_t payload_size = blob.size() - sizeof(uint64_t);
-  uint64_t stored = 0;
-  std::memcpy(&stored, blob.data() + payload_size, sizeof(stored));
-  if (Checksum(blob, payload_size) != stored) {
-    return Status::InvalidArgument("checksum mismatch");
-  }
-  return blob.substr(0, payload_size);
-}
-
-void PutPoint(BinaryWriter* writer, PointView p) {
-  for (size_t i = 0; i < p.dim(); ++i) writer->PutDouble(p[i]);
-}
 
 /// Bounds-checked forward cursor over a byte string — the record-walking
 /// workhorse of the fold paths (BinaryReader cannot skip or report its
@@ -136,26 +106,6 @@ Status CheckFullHeader(const std::string& payload) {
   return Status::OK();
 }
 
-/// Serializes one group record — must mirror SnapshotSamplerSW's
-/// per-record encoding byte for byte.
-void PutSwRecord(BinaryWriter* writer, const GroupRecord& g) {
-  writer->PutU64(g.id);
-  writer->PutU64(g.rep_index);
-  writer->PutU64(g.rep_cell);
-  writer->PutU8(g.accepted ? 1 : 0);
-  PutPoint(writer, g.rep);
-  PutPoint(writer, g.latest);
-  writer->PutI64(g.latest_stamp);
-  writer->PutU64(g.latest_index);
-  writer->PutU64(g.reservoir.size());
-  for (const auto& candidate : g.reservoir) {
-    writer->PutU64(candidate.priority);
-    writer->PutI64(candidate.stamp);
-    writer->PutU64(candidate.stream_index);
-    PutPoint(writer, candidate.point);
-  }
-}
-
 /// Walks one serialized SW group record starting at `cur`, returning its
 /// id and byte length. The record layout is fixed except for the
 /// reservoir tail.
@@ -214,11 +164,11 @@ Status SnapshotSamplerDeltaSW(RobustL0SamplerSW* sampler,
     live_ids.clear();
     level->SnapshotDirtyGroups(&dirty, &live_ids);
     writer.PutU64(dirty.size());
-    for (const GroupRecord& g : dirty) PutSwRecord(&writer, g);
+    for (const GroupRecord& g : dirty) PutSwGroupRecord(&writer, g);
     writer.PutU64(live_ids.size());
     for (uint64_t id : live_ids) writer.PutU64(id);
   }
-  writer.PutU64(Checksum(*out, out->size()));
+  writer.PutU64(Checksum(out->data(), out->size()));
   for (auto& level : sampler->levels_) level->MarkCheckpoint();
   return Status::OK();
 }
@@ -374,7 +324,7 @@ Status ApplySamplerDeltaSW(const std::string& base, const std::string& delta,
                       clean->second.second);
     }
   }
-  writer.PutU64(Checksum(*out, out->size()));
+  writer.PutU64(Checksum(out->data(), out->size()));
   return Status::OK();
 }
 
@@ -403,7 +353,7 @@ void JournalWriter::BeginRecord(JournalRecordType type, uint64_t index_base,
 
 void JournalWriter::EndRecord(size_t start) {
   const uint64_t crc =
-      ChecksumRange(out_->data() + start, out_->size() - start);
+      Checksum(out_->data() + start, out_->size() - start);
   BinaryWriter writer(out_);
   writer.PutU64(crc);
   ++next_seq_;
@@ -503,7 +453,7 @@ Status ReadJournal(const std::string& journal, JournalContents* out) {
     std::memcpy(&stored_crc,
                 journal.data() + pos + kRecordFixedBytes + payload,
                 sizeof(stored_crc));
-    if (ChecksumRange(journal.data() + pos, kRecordFixedBytes + payload) !=
+    if (Checksum(journal.data() + pos, kRecordFixedBytes + payload) !=
         stored_crc) {
       break;
     }
@@ -557,8 +507,16 @@ struct PoolHeader {
   int64_t last_watermark = 0;
   bool has_frontier = false;
   int64_t frontier = 0;
+  int64_t allowed_lateness = 0;
   uint64_t journal_seq = 0;
 };
+
+/// The error for a pool checkpoint or delta of another format version.
+Status UnsupportedPoolVersion(uint32_t version) {
+  return Status::InvalidArgument(
+      "unsupported pool checkpoint version " + std::to_string(version) +
+      " (this build reads version " + std::to_string(kPoolVersion) + ")");
+}
 
 void PutPoolHeader(BinaryWriter* writer, const PoolHeader& hdr) {
   writer->PutU8(hdr.mode);
@@ -570,6 +528,7 @@ void PutPoolHeader(BinaryWriter* writer, const PoolHeader& hdr) {
   writer->PutI64(hdr.last_watermark);
   writer->PutU8(hdr.has_frontier ? 1 : 0);
   writer->PutI64(hdr.frontier);
+  writer->PutI64(hdr.allowed_lateness);
   writer->PutU64(hdr.journal_seq);
 }
 
@@ -579,7 +538,8 @@ bool GetPoolHeader(Cursor* cur, PoolHeader* hdr) {
       !cur->I64(&hdr->window) || !cur->U64(&hdr->points_fed) ||
       !cur->I64(&hdr->latest_stamp) || !cur->U8(&watermark_sent) ||
       !cur->I64(&hdr->last_watermark) || !cur->U8(&has_frontier) ||
-      !cur->I64(&hdr->frontier) || !cur->U64(&hdr->journal_seq)) {
+      !cur->I64(&hdr->frontier) || !cur->I64(&hdr->allowed_lateness) ||
+      !cur->U64(&hdr->journal_seq)) {
     return false;
   }
   hdr->watermark_sent = watermark_sent != 0;
@@ -598,11 +558,15 @@ Status ParsePoolCheckpoint(const std::string& payload, PoolHeader* hdr,
     return Status::InvalidArgument("not an rl0 pool checkpoint");
   }
   uint32_t version = 0;
-  if (!cur.U32(&version) || version != kPoolVersion) {
-    return Status::InvalidArgument("unsupported pool checkpoint version");
+  if (!cur.U32(&version)) {
+    return Status::InvalidArgument("pool checkpoint truncated");
   }
+  if (version != kPoolVersion) return UnsupportedPoolVersion(version);
   if (!GetPoolHeader(&cur, hdr)) {
     return Status::InvalidArgument("pool checkpoint truncated");
+  }
+  if (hdr->allowed_lateness < 0) {
+    return Status::InvalidArgument("bad lateness bound in pool checkpoint");
   }
   if (hdr->shards == 0 || hdr->shards > 65536) {
     return Status::InvalidArgument("bad shard count in pool checkpoint");
@@ -642,10 +606,9 @@ void AppendPoolHeader(ShardedSwSamplerPool* pool, uint64_t journal_seq,
     MutexLock lock(&fe->mu);
     hdr.watermark_sent = fe->watermark_sent;
     hdr.last_watermark = fe->last_watermark;
-    if (fe->stage && fe->stage->has_watermark()) {
-      hdr.has_frontier = true;
-      hdr.frontier = fe->stage->release_bound();
-    }
+    hdr.has_frontier = fe->stage.has_watermark();
+    if (hdr.has_frontier) hdr.frontier = fe->stage.release_bound();
+    hdr.allowed_lateness = fe->stage.allowed_lateness();
   }
   BinaryWriter writer(out);
   PutPoolHeader(&writer, hdr);
@@ -667,7 +630,7 @@ Status CheckpointPool(ShardedSwSamplerPool* pool, uint64_t journal_seq,
     writer.PutU64(shard_blob.size());
     writer.PutBytes(shard_blob.data(), shard_blob.size());
   }
-  writer.PutU64(Checksum(*out, out->size()));
+  writer.PutU64(Checksum(out->data(), out->size()));
   return Status::OK();
 }
 
@@ -706,7 +669,7 @@ Status CheckpointPoolDelta(ShardedSwSamplerPool* pool,
     writer.PutU64(shard_delta.size());
     writer.PutBytes(shard_delta.data(), shard_delta.size());
   }
-  writer.PutU64(Checksum(*out, out->size()));
+  writer.PutU64(Checksum(out->data(), out->size()));
   return Status::OK();
 }
 
@@ -733,10 +696,10 @@ Status FoldPoolDelta(const std::string& base, const std::string& delta,
   }
   uint32_t version = 0;
   uint64_t base_checksum = 0;
-  if (!dc.U32(&version) || version != kPoolVersion ||
-      !dc.U64(&base_checksum)) {
-    return Status::InvalidArgument("unsupported pool delta");
+  if (!dc.U32(&version) || !dc.U64(&base_checksum)) {
+    return Status::InvalidArgument("pool delta truncated");
   }
+  if (version != kPoolVersion) return UnsupportedPoolVersion(version);
   if (base_checksum != SnapshotChainChecksum(base)) {
     return Status::InvalidArgument(
         "pool delta was cut against a different base");
@@ -775,7 +738,7 @@ Status FoldPoolDelta(const std::string& base, const std::string& delta,
   if (dc.remaining() != 0) {
     return Status::InvalidArgument("trailing bytes in pool delta");
   }
-  writer.PutU64(Checksum(*out, out->size()));
+  writer.PutU64(Checksum(out->data(), out->size()));
   return Status::OK();
 }
 
@@ -811,8 +774,10 @@ Result<ShardedSwSamplerPool> RecoverPool(
   IngestPool::Options popts = pipeline_options;
   popts.index_base = hdr.points_fed;
   // The lanes are built around the restored samplers (ParsePoolCheckpoint
-  // guarantees at least one shard).
-  ShardedSwSamplerPool pool(std::move(restored), hdr.window, popts);
+  // guarantees at least one shard), the reorder stage around the
+  // checkpointed bound (shard snapshots do not carry it).
+  ShardedSwSamplerPool pool(std::move(restored), hdr.window,
+                            hdr.allowed_lateness, popts);
   if (hdr.mode != 0) {
     pool.mode_->store(hdr.mode, std::memory_order_relaxed);
   }
@@ -846,10 +811,7 @@ Result<ShardedSwSamplerPool> RecoverPool(
       // Re-arm the reorder stage's lateness judgment at the crashed
       // frontier so nothing already released (or late-dropped) can be
       // re-admitted by post-recovery offers.
-      const SamplerOptions& options = pool.shards_[0].options();
-      fe->stage = std::make_unique<ReorderStage>(options.allowed_lateness,
-                                                 options.late_policy);
-      fe->stage->NoteFrontier(hdr.frontier);
+      fe->stage.NoteFrontier(hdr.frontier);
     }
   }
 
@@ -918,7 +880,7 @@ Result<ShardedSwSamplerPool> RecoverPool(
           MutexLock lock(&fe->mu);
           fe->watermark_sent = true;
           fe->last_watermark = record.watermark;
-          if (fe->stage) fe->stage->NoteFrontier(record.watermark);
+          fe->stage.NoteFrontier(record.watermark);
         }
         break;
     }

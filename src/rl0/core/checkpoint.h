@@ -20,9 +20,11 @@
 //     Infinite-window samplers have no delta: they checkpoint only as a
 //     full SnapshotSampler blob (core/snapshot.h).
 //
-//  2. *A stamped journal.* ShardedSwSamplerPool::SetJournalSink taps the
-//     feed path; JournalWriter turns the tap into an append-only record
-//     of fed chunks — length-framed, CRC'd per record, torn-tail
+//  2. *A stamped journal.* The pool's IngestPool calls its tap
+//     (installed with ShardedSwSamplerPool::SetJournalSink) inside the
+//     feed lock that assigns each chunk's index base, so tap order is
+//     index-base order; JournalWriter turns the tap into an append-only
+//     record of fed chunks — length-framed, CRC'd per record, torn-tail
 //     tolerant (ReadJournal stops at the first bad byte and returns the
 //     valid prefix). CheckpointPool cuts a pool-wide checkpoint carrying
 //     the journal sequence number it is consistent with; RecoverPool
@@ -46,10 +48,11 @@
 // bounded-lateness path only the chunks *released* by the reorder stage
 // are fed, so points still buffered in the reorder heap at a crash are
 // not durable — they were never acknowledged to any downstream state.
-// The checkpoint header carries the stage's release frontier, and
-// RecoverPool re-arms it (ReorderStage::NoteFrontier), so a restored
-// pool judges re-offered stamps late exactly as the crashed pool would
-// have: nothing already released or late-dropped can be re-admitted.
+// The checkpoint header carries the stage's lateness bound and release
+// frontier, and RecoverPool re-arms both (ReorderStage::NoteFrontier),
+// so a restored pool judges re-offered stamps late exactly as the
+// crashed pool would have: nothing already released or late-dropped can
+// be re-admitted, and within-bound disorder is still reordered.
 
 #ifndef RL0_CORE_CHECKPOINT_H_
 #define RL0_CORE_CHECKPOINT_H_
@@ -174,8 +177,9 @@ Status ReadJournal(const std::string& journal, JournalContents* out);
 // ---------------------------------------------------- pool checkpoints
 
 /// Cuts a full pool checkpoint: the stamp mode, counters, reorder
-/// frontier and a full snapshot of every shard (marking each shard's
-/// dirty-tracking epoch, so CheckpointPoolDelta can follow).
+/// frontier and lateness bound, and a full snapshot of every shard
+/// (marking each shard's dirty-tracking epoch, so CheckpointPoolDelta
+/// can follow).
 /// `journal_seq` is the journal sequence number this cut is consistent
 /// with (the writer's next_seq() at a quiescent point): RecoverPool
 /// replays records at or above it. Requires a drained pool with no
@@ -201,7 +205,8 @@ Status FoldPoolDelta(const std::string& base, const std::string& delta,
 
 /// Rebuilds a pool from a full checkpoint (fold deltas first) and a
 /// journal byte stream: restores every shard, re-latches the stamp
-/// mode, re-arms the event watermark and reorder frontier, then replays
+/// mode, re-arms the event watermark, lateness bound and reorder
+/// frontier, then replays
 /// every journal record with seq ≥ the checkpoint's journal sequence
 /// number through the ordinary feed path — verifying global index
 /// continuity and stamp monotonicity record by record — and drains.

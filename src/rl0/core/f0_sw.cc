@@ -35,6 +35,7 @@ Result<F0EstimatorSW> F0EstimatorSW::Create(const F0SwOptions& options) {
   }
   return F0EstimatorSW(
       ShardedSwSamplerPool(std::move(samplers), options.window,
+                           options.sampler.allowed_lateness,
                            IngestPool::Options(), /*broadcast=*/true),
       options.copies, options.repetitions, options.combiner, options.phi);
 }

@@ -71,12 +71,12 @@ bool IngestPool::RunLaneOnce(Lane* lane) {
 }
 
 void IngestPool::Enqueue(Item item) {
-  // One critical section assigns the index base AND enqueues everywhere:
-  // every lane sees the same chunk order, and bases are dense and unique
-  // even under concurrent producers. Push may block here (backpressure);
-  // that also throttles other producers, which is the intent — the
-  // workers drain the queues without ever taking feed_mu_, so the pool
-  // always makes progress.
+  // One critical section assigns the index base, taps the chunk AND
+  // enqueues everywhere: every lane (and the tap) sees the same chunk
+  // order, and bases are dense and unique even under concurrent
+  // producers. Push may block here (backpressure); that also throttles
+  // other producers, which is the intent — the workers drain the queues
+  // without ever taking feed_mu_, so the pool always makes progress.
   MutexLock lock(&feed_mu_);
   if (stopped_) return;
   const Span<const int64_t> stamps = item.chunk.stamps;
@@ -109,6 +109,10 @@ void IngestPool::Enqueue(Item item) {
   item.index_base = fed_;
   fed_ += item.chunk.points.size();
   ++chunks_fed_;
+  if (tap_) {
+    tap_(item.chunk.points, item.chunk.stamps, item.index_base,
+         item.watermark ? &*item.watermark : nullptr);
+  }
   for (std::unique_ptr<Lane>& lane : lanes_) {
     lane->queue.Push(item);
     // Fleet mode: wake a shared worker for this lane right after its
@@ -191,6 +195,11 @@ void IngestPool::Stop() {
   for (std::unique_ptr<Lane>& lane : lanes_) {
     if (lane->worker.joinable()) lane->worker.join();
   }
+}
+
+void IngestPool::SetTap(Sink tap) {
+  MutexLock lock(&feed_mu_);
+  tap_ = std::move(tap);
 }
 
 void IngestPool::NoteStamp(int64_t stamp) {

@@ -16,8 +16,7 @@
 // chunk, whose stamps are its global stream positions) and an optional
 // shared owner (null = borrowed: the caller keeps the arrays valid until
 // the next Drain() returns). One sink shape, shared with the journal tap
-// (ShardedSwSamplerPool::JournalSink): (points, stamps, index_base,
-// watermark).
+// (SetTap): (points, stamps, index_base, watermark).
 //
 // Determinism contract: chunk index bases are assigned atomically with
 // enqueue order under one feed lock, so every lane observes the same
@@ -28,7 +27,11 @@
 // Stamps ride the same critical section: they must be non-decreasing
 // within a chunk (scanned before the feed lock is taken) and across
 // chunks in enqueue order (the O(1) watermark check under the feed lock);
-// a violation is a programming error and CHECK-fails.
+// a violation is a programming error and CHECK-fails. The optional tap
+// (SetTap) runs in that critical section too, right after a chunk's
+// index base is assigned: tap order is index-base order by
+// construction, which is what makes a journal written from it a
+// faithful, prefix-closed record of the fed stream.
 //
 // Backpressure: each lane queue holds at most Options::queue_capacity
 // chunks; Feed blocks while any lane is full, so a slow lane throttles
@@ -159,6 +162,13 @@ class IngestPool {
   /// by the destructor. After Stop the pool no longer accepts Feeds.
   void Stop();
 
+  /// Installs (or clears, with nullptr) the tap: called with every fed
+  /// chunk — watermark chunks included — on the feeding thread, under the
+  /// feed lock, after the chunk's index base is assigned and before any
+  /// lane sees it. The tap must be cheap and must not call back into the
+  /// pool (the feed lock is held).
+  void SetTap(Sink tap) RL0_EXCLUDES(feed_mu_);
+
   /// Raises the stamp watermark to `stamp` (no-op if already past it) —
   /// restores the watermark of a stream recovered from a checkpoint.
   void NoteStamp(int64_t stamp);
@@ -225,6 +235,8 @@ class IngestPool {
   bool stamp_watermark_set_ RL0_GUARDED_BY(feed_mu_) = false;
   bool workers_started_ RL0_GUARDED_BY(feed_mu_) = false;
   bool stopped_ RL0_GUARDED_BY(feed_mu_) = false;
+  /// The installed tap (see SetTap); empty by default.
+  Sink tap_ RL0_GUARDED_BY(feed_mu_);
   /// Stable addresses: workers hold Lane* across the pool's lifetime.
   std::vector<std::unique_ptr<Lane>> lanes_;
 };

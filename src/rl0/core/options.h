@@ -30,14 +30,9 @@ enum class GridSideMode {
 /// sorted prefix it belongs to (core/reorder_buffer.h).
 enum class LatePolicy {
   /// Drop the point, counting it (ReorderStats::late_dropped). Nothing
-  /// is ever silently lost: offered == released + dropped + redirected
-  /// (+ buffered, zero after a flush) holds exactly.
+  /// is ever silently lost: offered == released + dropped (+ buffered,
+  /// zero after a flush) holds exactly.
   kDrop,
-  /// Redirect the point (with its stamp) to a side channel — the
-  /// caller's late sink, or an internal buffer drained via
-  /// ReorderStage::TakeLate when no sink is set. Counted as
-  /// ReorderStats::late_redirected.
-  kSideChannel,
 };
 
 /// Configuration for RobustL0SamplerIW / SwFixedRateSampler /
@@ -105,12 +100,9 @@ struct SamplerOptions {
   /// time units behind the maximum stamp seen, reordering them into the
   /// strict non-decreasing sequence the samplers require. Must be ≥ 0;
   /// 0 still tolerates equal-stamp ties arriving in any order. The
-  /// strict FeedStamped/InsertStamped paths ignore it.
+  /// strict FeedStamped/InsertStamped paths ignore it. Arrivals later
+  /// than the bound are dropped and counted (LatePolicy).
   int64_t allowed_lateness = 0;
-
-  /// Policy for arrivals later than allowed_lateness on the late feed
-  /// path (see LatePolicy).
-  LatePolicy late_policy = LatePolicy::kDrop;
 
   /// The grid cell side implied by the options.
   double GridSide() const;

@@ -54,9 +54,8 @@ void ReorderStage::SortCanonical(std::vector<Point>* points,
   *stamps = std::move(sorted_stamps);
 }
 
-ReorderStage::ReorderStage(int64_t allowed_lateness, LatePolicy policy)
+ReorderStage::ReorderStage(int64_t allowed_lateness, LatePolicy /*policy*/)
     : allowed_lateness_(allowed_lateness),
-      policy_(policy),
       released_bound_(std::numeric_limits<int64_t>::min()) {
   RL0_CHECK(allowed_lateness >= 0);
 }
@@ -87,16 +86,7 @@ void ReorderStage::Offer(const Point& p, int64_t stamp) {
     // Beyond the lateness bound: the sorted prefix this point belongs
     // to has already been released; slotting it in would emit a
     // decreasing stamp downstream.
-    if (policy_ == LatePolicy::kDrop) {
-      ++late_dropped_;
-    } else {
-      ++late_redirected_;
-      if (late_sink_) {
-        late_sink_(p, stamp);
-      } else {
-        late_buffer_.emplace_back(p, stamp);
-      }
-    }
+    ++late_dropped_;
     return;
   }
   heap_.push_back(Held{p, stamp});
@@ -154,18 +144,11 @@ bool ReorderStage::TakeReleased(std::vector<Point>* points,
   return true;
 }
 
-std::vector<std::pair<Point, int64_t>> ReorderStage::TakeLate() {
-  std::vector<std::pair<Point, int64_t>> out = std::move(late_buffer_);
-  late_buffer_.clear();
-  return out;
-}
-
 ReorderStats ReorderStage::stats() const {
   ReorderStats s;
   s.offered = offered_;
   s.released = released_;
   s.late_dropped = late_dropped_;
-  s.late_redirected = late_redirected_;
   // Staged-but-untaken points already count as released; buffered is the
   // heap only, so the accounting identity holds at every point.
   s.buffered = heap_.size();
@@ -180,7 +163,6 @@ size_t ReorderStage::SpaceWords() const {
   for (const Held& h : heap_) words += h.point.dim() + 2;
   for (const Point& p : released_points_) words += p.dim() + 1;
   words += released_stamps_.size();
-  for (const auto& lp : late_buffer_) words += lp.first.dim() + 2;
   return words;
 }
 

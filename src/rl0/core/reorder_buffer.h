@@ -27,11 +27,10 @@
 // allowed_lateness = 0.
 //
 // Beyond-bound arrivals (stamp below the frontier) belong to an already
-// released prefix and cannot be slotted back in. They are never lost
-// silently: LatePolicy::kDrop counts them, LatePolicy::kSideChannel
-// redirects them (with their stamps) to the caller's late sink or an
-// internal buffer. The accounting identity
-//     offered == released + late_dropped + late_redirected + buffered
+// released prefix and cannot be slotted back in. They are dropped, and
+// never silently: LatePolicy::kDrop counts them, so the accounting
+// identity
+//     offered == released + late_dropped + buffered
 // holds after every call, with buffered == 0 after Flush().
 //
 // Watermark propagation: watermark() is the *low* watermark — every
@@ -51,9 +50,6 @@
 #define RL0_CORE_REORDER_BUFFER_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "rl0/core/options.h"
@@ -65,7 +61,7 @@
 namespace rl0 {
 
 /// Counters of a ReorderStage. The identity
-/// offered == released + late_dropped + late_redirected + buffered
+/// offered == released + late_dropped + buffered
 /// holds after every Offer/OfferBatch/Flush.
 struct ReorderStats {
   /// Points handed to Offer/OfferBatch.
@@ -74,8 +70,6 @@ struct ReorderStats {
   uint64_t released = 0;
   /// Beyond-bound arrivals dropped under LatePolicy::kDrop.
   uint64_t late_dropped = 0;
-  /// Beyond-bound arrivals redirected under LatePolicy::kSideChannel.
-  uint64_t late_redirected = 0;
   /// Points currently buffered (not yet releasable).
   uint64_t buffered = 0;
   /// False until the first offer; the stamp fields below are then
@@ -91,13 +85,9 @@ struct ReorderStats {
 /// canonical sorted order (see file comment). Movable, not copyable.
 class ReorderStage {
  public:
-  /// Delivery target for beyond-bound arrivals under
-  /// LatePolicy::kSideChannel; when unset they accumulate internally
-  /// (drain with TakeLate).
-  using LateSink = std::function<void(const Point& p, int64_t stamp)>;
-
   /// A stage tolerating stamps up to `allowed_lateness` behind the high
-  /// watermark. Requires allowed_lateness ≥ 0.
+  /// watermark; later arrivals are dropped and counted (kDrop is the one
+  /// policy). Requires allowed_lateness ≥ 0.
   ReorderStage(int64_t allowed_lateness, LatePolicy policy);
 
   ReorderStage(ReorderStage&&) = default;
@@ -105,11 +95,9 @@ class ReorderStage {
   ReorderStage(const ReorderStage&) = delete;
   ReorderStage& operator=(const ReorderStage&) = delete;
 
-  void set_late_sink(LateSink sink) { late_sink_ = std::move(sink); }
-
   /// Offers one arrival: judged against the lateness bound, then either
   /// buffered (possibly advancing the frontier and staging releases) or
-  /// handled per the late policy.
+  /// dropped.
   void Offer(const Point& p, int64_t stamp);
 
   /// Offers a batch in arrival order. Equivalent to Offer per element.
@@ -127,10 +115,6 @@ class ReorderStage {
   /// false (outputs untouched) when nothing is staged. Stamps are
   /// non-decreasing and ≥ every previously taken release.
   bool TakeReleased(std::vector<Point>* points, std::vector<int64_t>* stamps);
-
-  /// Drains the internally buffered side-channel deliveries (kSideChannel
-  /// with no sink set), in arrival order.
-  std::vector<std::pair<Point, int64_t>> TakeLate();
 
   /// Re-arms a fresh stage at a recovered release frontier (crash
   /// recovery, core/checkpoint.h): arrivals with stamp < `frontier` are
@@ -167,7 +151,6 @@ class ReorderStage {
   size_t SpaceWords() const;
 
   int64_t allowed_lateness() const { return allowed_lateness_; }
-  LatePolicy late_policy() const { return policy_; }
 
   /// The canonical total order the stage releases in: by stamp, then
   /// dimension, then coordinate bit patterns (lexicographic on the raw
@@ -193,16 +176,12 @@ class ReorderStage {
   void StageReleasesBelow(int64_t bound);
 
   int64_t allowed_lateness_;
-  LatePolicy policy_;
-  LateSink late_sink_;
 
   /// Min-heap by CanonicalLess (std::*_heap with a reversed comparator).
   std::vector<Held> heap_;
   /// Staged released sequence awaiting TakeReleased.
   std::vector<Point> released_points_;
   std::vector<int64_t> released_stamps_;
-  /// Internal side-channel buffer (kSideChannel, no sink).
-  std::vector<std::pair<Point, int64_t>> late_buffer_;
 
   bool has_watermark_ = false;
   int64_t max_stamp_ = 0;
@@ -213,18 +192,20 @@ class ReorderStage {
   uint64_t offered_ = 0;
   uint64_t released_ = 0;
   uint64_t late_dropped_ = 0;
-  uint64_t late_redirected_ = 0;
 };
 
 /// The serialized bounded-lateness front end of ShardedSwSamplerPool's
-/// late path: a lazily created ReorderStage plus the watermark-broadcast
-/// memory, grouped with the mutex that guards them so the discipline is
-/// a compile-time fact (sibling RL0_GUARDED_BY) while the owner — which
-/// holds this struct through a unique_ptr — stays movable.
+/// late path: the ReorderStage (built with the pool, from its lateness
+/// bound) plus the watermark-broadcast memory, grouped with the mutex
+/// that guards them so the discipline is a compile-time fact (sibling
+/// RL0_GUARDED_BY) while the owner — which holds this struct through a
+/// unique_ptr — stays movable.
 struct ReorderFrontEnd {
+  explicit ReorderFrontEnd(int64_t allowed_lateness)
+      : stage(allowed_lateness, LatePolicy::kDrop) {}
+
   Mutex mu;
-  /// Created by the first late feed (or set_late_sink); null until then.
-  std::unique_ptr<ReorderStage> stage RL0_GUARDED_BY(mu);
+  ReorderStage stage RL0_GUARDED_BY(mu);
   /// Last watermark broadcast downstream; duplicates are skipped so
   /// quiet feeds don't flood control chunks.
   bool watermark_sent RL0_GUARDED_BY(mu) = false;

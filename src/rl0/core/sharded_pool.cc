@@ -174,17 +174,17 @@ Result<ShardedSwSamplerPool> ShardedSwSamplerPool::Create(
       });
   if (!samplers.ok()) return samplers.status();
   return ShardedSwSamplerPool(std::move(samplers).value(), window,
-                              pipeline_options);
+                              options.allowed_lateness, pipeline_options);
 }
 
 ShardedSwSamplerPool::ShardedSwSamplerPool(
     std::vector<RobustL0SamplerSW> shards, int64_t window,
-    const IngestPool::Options& pipeline_options, bool broadcast)
+    int64_t allowed_lateness, const IngestPool::Options& pipeline_options,
+    bool broadcast)
     : LanePool(std::move(shards), pipeline_options, broadcast),
       window_(window),
       mode_(std::make_unique<std::atomic<uint8_t>>(0)),
-      reorder_fe_(std::make_unique<ReorderFrontEnd>()),
-      journal_mu_(std::make_unique<Mutex>()) {}
+      reorder_fe_(std::make_unique<ReorderFrontEnd>(allowed_lateness)) {}
 
 void ShardedSwSamplerPool::LatchMode(StampMode mode) {
   uint8_t expected = static_cast<uint8_t>(StampMode::kUnset);
@@ -197,32 +197,12 @@ void ShardedSwSamplerPool::LatchMode(StampMode mode) {
   }
 }
 
-void ShardedSwSamplerPool::FeedChunk(StampMode mode, IngestPool::Chunk chunk,
-                                     const int64_t* watermark) {
+void ShardedSwSamplerPool::FeedChunk(StampMode mode, IngestPool::Chunk chunk) {
   LatchMode(mode);
   // Time-mode chunks carry one stamp per point, sequence chunks none.
   RL0_CHECK(chunk.stamps.size() ==
             (mode == StampMode::kTime ? chunk.points.size() : 0));
-  const auto enqueue = [&] {
-    if (watermark != nullptr) {
-      pipeline_->FeedWatermark(*watermark);
-    } else {
-      pipeline_->Feed(std::move(chunk));
-    }
-  };
-  if (!journal_ || (watermark == nullptr && chunk.points.empty())) {
-    // Empty chunks are pipeline no-ops; journaling them would only add
-    // mode-ambiguous records with nothing to replay.
-    enqueue();
-    return;
-  }
-  // The lock spans the counter read AND the enqueue: a second producer
-  // cannot slip a chunk between them, so the journal's record order is
-  // the pipeline's index-base assignment order and recovery can verify
-  // index continuity record by record.
-  MutexLock lock(journal_mu_.get());
-  journal_(chunk.points, chunk.stamps, pipeline_->points_fed(), watermark);
-  enqueue();
+  pipeline_->Feed(std::move(chunk));
 }
 
 void ShardedSwSamplerPool::FeedSequence(IngestPool::Chunk chunk) {
@@ -248,27 +228,21 @@ void ShardedSwSamplerPool::FeedStampedLate(Span<const Point> points,
   LatchMode(StampMode::kTime);
   ReorderFrontEnd* fe = reorder_fe_.get();
   MutexLock lock(&fe->mu);
-  if (!fe->stage) {
-    fe->stage = std::make_unique<ReorderStage>(
-        shards_[0].options().allowed_lateness,
-        shards_[0].options().late_policy);
-  }
-  fe->stage->OfferBatch(points, stamps);
+  fe->stage.OfferBatch(points, stamps);
   PumpReorderLocked(fe);
 }
 
 void ShardedSwSamplerPool::FlushLate() {
   ReorderFrontEnd* fe = reorder_fe_.get();
   MutexLock lock(&fe->mu);
-  if (!fe->stage) return;
-  fe->stage->Flush();
+  fe->stage.Flush();
   PumpReorderLocked(fe);
 }
 
 void ShardedSwSamplerPool::PumpReorderLocked(ReorderFrontEnd* fe) {
   std::vector<Point> points;
   std::vector<int64_t> stamps;
-  if (fe->stage->TakeReleased(&points, &stamps)) {
+  if (fe->stage.TakeReleased(&points, &stamps)) {
     // Released order is the canonically sorted order, so the pipeline
     // sees exactly the chunk stream a strict sorted feed would (modulo
     // chunk boundaries, which the determinism contract absorbs). Only
@@ -278,13 +252,14 @@ void ShardedSwSamplerPool::PumpReorderLocked(ReorderFrontEnd* fe) {
     FeedChunk(StampMode::kTime, IngestPool::Chunk::Owning(std::move(points),
                                                           std::move(stamps)));
   }
-  if (fe->stage->has_watermark()) {
-    const int64_t watermark = fe->stage->watermark();
+  if (fe->stage.has_watermark()) {
+    const int64_t watermark = fe->stage.watermark();
     if (!fe->watermark_sent || watermark > fe->last_watermark) {
       // After the release above: released stamps are below the new
       // watermark, and every future release is at or above it, so the
-      // pipeline's stamp monotonicity check holds on both sides.
-      FeedChunk(StampMode::kTime, {}, &watermark);
+      // pipeline's stamp monotonicity check holds on both sides. (The
+      // mode latched to kTime when this late feed began.)
+      pipeline_->FeedWatermark(watermark);
       fe->watermark_sent = true;
       fe->last_watermark = watermark;
     }
@@ -294,33 +269,17 @@ void ShardedSwSamplerPool::PumpReorderLocked(ReorderFrontEnd* fe) {
 ReorderStats ShardedSwSamplerPool::late_stats() const {
   ReorderFrontEnd* fe = reorder_fe_.get();
   MutexLock lock(&fe->mu);
-  return fe->stage ? fe->stage->stats() : ReorderStats();
+  return fe->stage.stats();
 }
 
-void ShardedSwSamplerPool::set_late_sink(ReorderStage::LateSink sink) {
+int64_t ShardedSwSamplerPool::allowed_lateness() const {
   ReorderFrontEnd* fe = reorder_fe_.get();
   MutexLock lock(&fe->mu);
-  if (!fe->stage) {
-    fe->stage = std::make_unique<ReorderStage>(
-        shards_[0].options().allowed_lateness,
-        shards_[0].options().late_policy);
-  }
-  fe->stage->set_late_sink(std::move(sink));
-}
-
-std::vector<std::pair<Point, int64_t>>
-ShardedSwSamplerPool::TakeLateSideChannel() {
-  ReorderFrontEnd* fe = reorder_fe_.get();
-  MutexLock lock(&fe->mu);
-  if (!fe->stage) return {};
-  return fe->stage->TakeLate();
+  return fe->stage.allowed_lateness();
 }
 
 int64_t ShardedSwSamplerPool::now() const {
-  if (mode_->load(std::memory_order_relaxed) ==
-      static_cast<uint8_t>(StampMode::kTime)) {
-    return pipeline_->latest_stamp();
-  }
+  if (stamp_mode() == StampMode::kTime) return pipeline_->latest_stamp();
   return static_cast<int64_t>(pipeline_->points_fed()) - 1;
 }
 

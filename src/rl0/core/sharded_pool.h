@@ -118,7 +118,8 @@ class LanePool {
   static Result<std::vector<Sampler>> MakeShards(size_t shards, Make make);
 
   /// Where Feed/FeedBorrowed/ConsumeParallel hand their sequence chunk:
-  /// straight to the pipeline, unless the pool journals its feeds.
+  /// straight to the pipeline (the windowed pool latches its stamp mode
+  /// first).
   virtual void FeedSequence(IngestPool::Chunk chunk);
 
   /// Runs `fn` with every worker paused between chunks (see
@@ -229,8 +230,8 @@ class ShardedSwSamplerPool final : public LanePool<RobustL0SamplerSW> {
   /// arrival order within the bound, per-lane state — coin streams and
   /// snapshot bytes included — is bit-identical to FeedStamped of the
   /// canonically sorted stream (ties broken by
-  /// ReorderStage::CanonicalLess). Beyond-bound points follow
-  /// options().late_policy and are fully accounted in late_stats().
+  /// ReorderStage::CanonicalLess). Beyond-bound points are dropped and
+  /// counted in late_stats().
   /// Safe from any number of threads (serialized internally); do not mix
   /// with the strict FeedStamped* calls. Call FlushLate() + Drain()
   /// before end-of-stream queries.
@@ -244,19 +245,19 @@ class ShardedSwSamplerPool final : public LanePool<RobustL0SamplerSW> {
 
   /// Counters of the pool's reorder stage (all-zero before any
   /// FeedStampedLate). The identity offered == released + late_dropped +
-  /// late_redirected + buffered holds at every quiescent point.
+  /// buffered holds at every quiescent point.
   ReorderStats late_stats() const;
 
-  /// Side-channel sink for beyond-bound arrivals under
-  /// LatePolicy::kSideChannel; without one they buffer inside the stage
-  /// (TakeLateSideChannel). The sink runs on the feeding thread, under
-  /// the pool's reorder lock — keep it cheap and do not call back into
-  /// the pool.
-  void set_late_sink(ReorderStage::LateSink sink);
+  /// The lateness bound of FeedStampedLate: options().allowed_lateness at
+  /// Create, the checkpointed bound after RecoverPool.
+  int64_t allowed_lateness() const;
 
-  /// Drains the internally buffered side-channel deliveries (kSideChannel
-  /// with no sink set), in arrival order.
-  std::vector<std::pair<Point, int64_t>> TakeLateSideChannel();
+  /// Which stamp semantics the pool has been fed with. Latched by the
+  /// first feed; mixing modes is a programming error (CHECK-fails).
+  enum class StampMode : uint8_t { kUnset = 0, kSequence = 1, kTime = 2 };
+  StampMode stamp_mode() const {
+    return static_cast<StampMode>(mode_->load(std::memory_order_relaxed));
+  }
 
   /// The stamp of the most recently fed point — the global position of
   /// the stream's last point in sequence mode, the last explicit stamp in
@@ -309,22 +310,21 @@ class ShardedSwSamplerPool final : public LanePool<RobustL0SamplerSW> {
   /// call this pool's feed-side APIs (deadlock caveat above).
   using LanePool::QuiescedRun;
 
-  /// Durability tap on the feed path (core/checkpoint.h). When set, every
-  /// fed chunk is reported to the sink *before* it enters the pipeline,
-  /// together with the global index of its first point; watermark
-  /// broadcasts are reported as empty chunks with `watermark` non-null.
-  /// The reporting order equals the pipeline's index-base assignment
-  /// order (both happen under one internal lock), so the journal is a
-  /// faithful prefix-closed record of the fed stream. Sequence-mode
-  /// chunks arrive with an empty `stamps` span — the lane sinks' shape.
-  /// The sink runs on the feeding thread — keep it cheap and do not call
-  /// back into the pool.
+  /// Durability tap on the feed path (core/checkpoint.h): the
+  /// pipeline's tap (IngestPool::SetTap). Every fed chunk is reported to
+  /// the sink *before* it enters the lanes, together with the global
+  /// index of its first point; watermark broadcasts are reported as empty
+  /// chunks with `watermark` non-null. The sink runs inside the feed lock
+  /// that assigns index bases, so the journal is a faithful prefix-closed
+  /// record of the fed stream. Sequence-mode chunks arrive with an empty
+  /// `stamps` span — the lane sinks' shape. The sink runs on the feeding
+  /// thread — keep it cheap and do not call back into the pool.
   using JournalSink = IngestPool::Sink;
 
-  /// Installs (or clears, with nullptr) the journal sink. Call before
-  /// feeding or at a quiescent point — the installation itself is not
-  /// synchronized against in-flight feeds.
-  void SetJournalSink(JournalSink sink) { journal_ = std::move(sink); }
+  /// Installs (or clears, with nullptr) the journal sink.
+  void SetJournalSink(JournalSink sink) {
+    pipeline_->SetTap(std::move(sink));
+  }
 
  private:
   // Checkpoint/recovery (core/checkpoint.cc) snapshots the private
@@ -339,13 +339,11 @@ class ShardedSwSamplerPool final : public LanePool<RobustL0SamplerSW> {
   // broadcast lanes of a pool.
   friend class F0EstimatorSW;
 
-  /// Which stamp semantics the pool has been fed with. Latched by the
-  /// first feed; mixing modes is a programming error (CHECK-fails).
-  enum class StampMode : uint8_t { kUnset = 0, kSequence = 1, kTime = 2 };
-
-  /// Builds the pipeline around pre-built samplers; `broadcast` as in
-  /// LanePool's constructor.
+  /// Builds the pipeline around pre-built samplers and the reorder
+  /// front end around `allowed_lateness`; `broadcast` as in LanePool's
+  /// constructor.
   ShardedSwSamplerPool(std::vector<RobustL0SamplerSW> shards, int64_t window,
+                       int64_t allowed_lateness,
                        const IngestPool::Options& pipeline_options,
                        bool broadcast = false);
 
@@ -364,14 +362,10 @@ class ShardedSwSamplerPool final : public LanePool<RobustL0SamplerSW> {
   /// `now_of(shard)` unified to the global deepest level, then dedupes.
   template <typename NowOf>
   std::vector<SampleItem> BuildUnifiedPool(NowOf now_of, Xoshiro256pp* rng);
-  /// The one feed path under every public feed: latches `mode`, then
-  /// reports the chunk — or, with `watermark` non-null, the watermark —
-  /// to the journal sink and enqueues it, with journal_mu_ held across
-  /// both so journal order equals the pipeline's index-base assignment
-  /// order. With no sink, just enqueues.
-  void FeedChunk(StampMode mode, IngestPool::Chunk chunk,
-                 const int64_t* watermark = nullptr);
-  /// Feed/FeedBorrowed/ConsumeParallel: a journaled sequence chunk.
+  /// The one point-feed path under every public feed: latches `mode`,
+  /// then enqueues the chunk (the pipeline's tap journals it).
+  void FeedChunk(StampMode mode, IngestPool::Chunk chunk);
+  /// Feed/FeedBorrowed/ConsumeParallel: a sequence chunk.
   void FeedSequence(IngestPool::Chunk chunk) override;
 
   int64_t window_;
@@ -381,18 +375,9 @@ class ShardedSwSamplerPool final : public LanePool<RobustL0SamplerSW> {
   /// and watermark memory grouped with the mutex that serializes the
   /// late path — the Offer → release → watermark sequence must hit the
   /// pipeline in one piece per producer, or two producers could
-  /// interleave a release with a stale watermark. Heap-allocated so the
-  /// pool stays movable.
+  /// interleave a release with a stale watermark. Taken before the
+  /// pipeline's feed lock. Heap-allocated so the pool stays movable.
   std::unique_ptr<ReorderFrontEnd> reorder_fe_;
-  /// Serializes journal emission with index-base assignment: held across
-  /// {points_fed() read, sink call, pipeline feed} so the journal records
-  /// chunks in exactly the order the pipeline indexes them. An ordering
-  /// lock, not a data guard (journal_ itself is installed at quiescent
-  /// points by contract). Taken after reorder_fe_->mu on the late path
-  /// (strict feeds never take reorder_fe_->mu, so the order is acyclic).
-  std::unique_ptr<Mutex> journal_mu_;
-  /// The installed durability tap, empty by default (see SetJournalSink).
-  JournalSink journal_;
 };
 
 }  // namespace rl0

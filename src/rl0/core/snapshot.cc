@@ -13,21 +13,6 @@ constexpr char kMagicSW[8] = {'R', 'L', '0', 'S', 'N', 'P', 'W', '\0'};
 // version-1 blobs are still restorable (peak restarts at current size).
 constexpr uint32_t kVersion = 2;
 
-/// FNV-1a over the payload, finalized with SplitMix64 — detects any
-/// corruption of the blob, not just fields covered by structural checks.
-uint64_t Checksum(const std::string& data, size_t length) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < length; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 0x100000001B3ULL;
-  }
-  return SplitMix64(h);
-}
-
-void PutPoint(BinaryWriter* writer, PointView p) {
-  for (size_t i = 0; i < p.dim(); ++i) writer->PutDouble(p[i]);
-}
-
 Status GetPoint(BinaryReader* reader, size_t dim, Point* out) {
   *out = Point(dim);
   for (size_t i = 0; i < dim; ++i) {
@@ -36,10 +21,6 @@ Status GetPoint(BinaryReader* reader, size_t dim, Point* out) {
   }
   return Status::OK();
 }
-
-}  // namespace
-
-namespace {
 
 void PutOptions(BinaryWriter* writer, const SamplerOptions& opts) {
   writer->PutU64(opts.dim);
@@ -94,21 +75,6 @@ Status GetOptions(BinaryReader* reader, SamplerOptions* opts) {
   return Status::OK();
 }
 
-/// Verifies the trailing checksum and returns the payload prefix.
-Result<std::string> CheckedPayload(const std::string& snapshot) {
-  if (snapshot.size() < sizeof(uint64_t)) {
-    return Status::InvalidArgument("snapshot too small");
-  }
-  const size_t payload_size = snapshot.size() - sizeof(uint64_t);
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, snapshot.data() + payload_size,
-              sizeof(stored_checksum));
-  if (Checksum(snapshot, payload_size) != stored_checksum) {
-    return Status::InvalidArgument("snapshot checksum mismatch");
-  }
-  return snapshot.substr(0, payload_size);
-}
-
 }  // namespace
 
 Status SnapshotSampler(const RobustL0SamplerIW& sampler, std::string* out) {
@@ -137,11 +103,11 @@ Status SnapshotSampler(const RobustL0SamplerIW& sampler, std::string* out) {
     writer.PutU64(reservoir_mode ? reps.group_count(slot) : 1);
     writer.PutU64(reservoir_mode ? reps.sample_index(slot)
                                  : reps.stream_index(slot));
-    PutPoint(&writer, reps.point(slot));
-    PutPoint(&writer, reservoir_mode ? reps.sample_point(slot)
+    writer.PutPoint(reps.point(slot));
+    writer.PutPoint(reservoir_mode ? reps.sample_point(slot)
                                      : reps.point(slot));
   }
-  writer.PutU64(Checksum(*out, out->size()));
+  writer.PutU64(Checksum(out->data(), out->size()));
   return Status::OK();
 }
 
@@ -237,6 +203,24 @@ Result<RobustL0SamplerIW> RestoreSampler(const std::string& snapshot) {
   return sampler;
 }
 
+void PutSwGroupRecord(BinaryWriter* writer, const GroupRecord& g) {
+  writer->PutU64(g.id);
+  writer->PutU64(g.rep_index);
+  writer->PutU64(g.rep_cell);
+  writer->PutU8(g.accepted ? 1 : 0);
+  writer->PutPoint(g.rep);
+  writer->PutPoint(g.latest);
+  writer->PutI64(g.latest_stamp);
+  writer->PutU64(g.latest_index);
+  writer->PutU64(g.reservoir.size());
+  for (const auto& candidate : g.reservoir) {
+    writer->PutU64(candidate.priority);
+    writer->PutI64(candidate.stamp);
+    writer->PutU64(candidate.stream_index);
+    writer->PutPoint(candidate.point);
+  }
+}
+
 Status SnapshotSamplerSW(const RobustL0SamplerSW& sampler, std::string* out) {
   out->clear();
   BinaryWriter writer(out);
@@ -257,25 +241,9 @@ Status SnapshotSamplerSW(const RobustL0SamplerSW& sampler, std::string* out) {
     groups.clear();
     level->SnapshotGroups(&groups);
     writer.PutU64(groups.size());
-    for (const GroupRecord& g : groups) {
-      writer.PutU64(g.id);
-      writer.PutU64(g.rep_index);
-      writer.PutU64(g.rep_cell);
-      writer.PutU8(g.accepted ? 1 : 0);
-      PutPoint(&writer, g.rep);
-      PutPoint(&writer, g.latest);
-      writer.PutI64(g.latest_stamp);
-      writer.PutU64(g.latest_index);
-      writer.PutU64(g.reservoir.size());
-      for (const auto& candidate : g.reservoir) {
-        writer.PutU64(candidate.priority);
-        writer.PutI64(candidate.stamp);
-        writer.PutU64(candidate.stream_index);
-        PutPoint(&writer, candidate.point);
-      }
-    }
+    for (const GroupRecord& g : groups) PutSwGroupRecord(&writer, g);
   }
-  writer.PutU64(Checksum(*out, out->size()));
+  writer.PutU64(Checksum(out->data(), out->size()));
   return Status::OK();
 }
 

@@ -50,6 +50,13 @@ Status SnapshotSamplerSW(const RobustL0SamplerSW& sampler, std::string* out);
 /// Rebuilds a sliding-window sampler from a SnapshotSamplerSW blob.
 Result<RobustL0SamplerSW> RestoreSamplerSW(const std::string& snapshot);
 
+class BinaryWriter;
+
+/// Appends one group record in SnapshotSamplerSW's per-record encoding —
+/// shared with the delta cuts of core/checkpoint.h, whose folded blobs
+/// must be byte-identical to full snapshots.
+void PutSwGroupRecord(BinaryWriter* writer, const GroupRecord& g);
+
 }  // namespace rl0
 
 #endif  // RL0_CORE_SNAPSHOT_H_

@@ -58,6 +58,35 @@ int64_t NextFireAfter(int64_t position, int64_t every) {
   return k * every;
 }
 
+/// The first CREATE setting a recovered pool disagrees with, or null.
+/// Routing and query seeding follow the CREATE line, so a line that
+/// contradicts the checkpoint would feed the restored samplers points
+/// of another shape or mode.
+const char* RecoveredMismatch(const CreateParams& params,
+                              const ShardedSwSamplerPool& pool) {
+  const SamplerOptions& opts = pool.shard(0).options();
+  if (opts.dim != params.dim) return "dim";
+  if (opts.alpha != params.alpha) return "alpha";
+  if (opts.metric != params.metric) return "metric";
+  if (opts.seed != params.seed) return "seed";
+  if (opts.expected_stream_length != params.expected_m) return "m";
+  if (opts.k != params.k) return "k";
+  if (opts.random_representative != params.reservoir) return "reservoir";
+  if (pool.window() != params.window) return "window";
+  if (pool.num_shards() != params.shards) return "shards";
+  const ShardedSwSamplerPool::StampMode mode = pool.stamp_mode();
+  if (mode != ShardedSwSamplerPool::StampMode::kUnset &&
+      (mode == ShardedSwSamplerPool::StampMode::kSequence) !=
+          (params.mode == TenantMode::kSequence)) {
+    return "mode";
+  }
+  if (params.mode == TenantMode::kLate &&
+      pool.allowed_lateness() != params.lateness) {
+    return "lateness";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 TenantRegistry::Tenant::Tenant(std::string tenant_name,
@@ -129,6 +158,10 @@ Status TenantRegistry::BuildAndRegister(const std::string& name,
     auto recovered =
         RecoverPool(chain.value().checkpoint, chain.value().journal, pipe);
     if (!recovered.ok()) return recovered.status();
+    if (const char* field = RecoveredMismatch(params, recovered.value())) {
+      return Status::InvalidArgument(std::string("recover=1: ") + field +
+                                     " differs from the checkpoint");
+    }
     tenant->pool = std::make_unique<ShardedSwSamplerPool>(
         std::move(recovered).value());
     tenant->ckpt = std::make_unique<PoolCheckpointer>(

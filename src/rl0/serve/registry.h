@@ -40,8 +40,14 @@
 // Durability: tenants created with ckpt=1 own a PoolCheckpointer under
 // <checkpoint-root>/<tenant>; recover=1 restores from that directory
 // (journal replay included) and rebases the chain (fresh full cut)
-// before accepting new points. Subscriptions and CVM state are scratch:
-// they do not survive recovery — only sampler state does.
+// before accepting new points. The CREATE line must agree with what
+// the checkpoint records — dim, alpha, metric, seed, m, k, reservoir,
+// window, shards, the latched sequence-vs-stamped mode and, for
+// mode=late, the lateness bound — or the CREATE fails and no tenant is
+// registered (every= and filter= may differ: the first is a deployment
+// setting, the second never changes decisions). Subscriptions and CVM
+// state are scratch: they do not survive recovery — only sampler state
+// does.
 
 #ifndef RL0_SERVE_REGISTRY_H_
 #define RL0_SERVE_REGISTRY_H_

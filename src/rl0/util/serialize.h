@@ -3,6 +3,8 @@
 // Fixed-width little-endian encoding; doubles as IEEE-754 bit patterns.
 // Writers append to a std::string; readers return Status on truncated or
 // malformed input instead of crashing (snapshots may come from disk).
+// Checksum/CheckedPayload are the one integrity check of every blob the
+// repo writes: snapshots, checkpoints and journal records.
 
 #ifndef RL0_UTIL_SERIALIZE_H_
 #define RL0_UTIL_SERIALIZE_H_
@@ -11,6 +13,7 @@
 #include <cstring>
 #include <string>
 
+#include "rl0/util/rng.h"
 #include "rl0/util/status.h"
 
 namespace rl0 {
@@ -32,6 +35,13 @@ class BinaryWriter {
   void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
 
   void PutBytes(const void* data, size_t n) { PutRaw(data, n); }
+
+  /// Appends a point's coordinates (a Point or PointView: anything with
+  /// data() and dim()) as consecutive doubles.
+  template <typename PointLike>
+  void PutPoint(const PointLike& p) {
+    PutRaw(p.data(), p.dim() * sizeof(double));
+  }
 
  private:
   void PutRaw(const void* data, size_t n) {
@@ -79,6 +89,32 @@ class BinaryReader {
   const std::string& data_;
   size_t pos_ = 0;
 };
+
+/// FNV-1a over `length` bytes, finalized with SplitMix64 — detects any
+/// corruption of a blob, not just fields covered by structural checks.
+inline uint64_t Checksum(const char* data, size_t length) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (size_t i = 0; i < length; ++i) {
+    h ^= static_cast<uint8_t>(data[i]);
+    h *= 0x100000001B3ULL;
+  }
+  return SplitMix64(h);
+}
+
+/// Verifies a blob's trailing Checksum (over everything before it) and
+/// returns the payload prefix.
+inline Result<std::string> CheckedPayload(const std::string& blob) {
+  if (blob.size() < sizeof(uint64_t)) {
+    return Status::InvalidArgument("blob too small");
+  }
+  const size_t payload_size = blob.size() - sizeof(uint64_t);
+  uint64_t stored = 0;
+  std::memcpy(&stored, blob.data() + payload_size, sizeof(stored));
+  if (Checksum(blob.data(), payload_size) != stored) {
+    return Status::InvalidArgument("checksum mismatch");
+  }
+  return blob.substr(0, payload_size);
+}
 
 }  // namespace rl0
 

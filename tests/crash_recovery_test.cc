@@ -381,6 +381,43 @@ TEST(CrashRecoveryTest, LateFeedJournalReplaysWatermarkRecords) {
   }
 }
 
+TEST(CrashRecoveryTest, RecoveredLatePoolKeepsItsLatenessBound) {
+  // Shard snapshots do not carry the lateness bound; the pool header
+  // does. A recovered late pool must keep reordering within-bound
+  // disorder exactly like its uninterrupted twin instead of dropping it.
+  SamplerOptions opts = PoolOptions(91);
+  opts.allowed_lateness = 12;
+  const std::vector<Point> points = Revisits(150, 20, 92);
+  std::vector<int64_t> stamps = MonotoneStamps(points.size(), 93);
+  // Bounded disorder: swap adjacent stamped pairs (gap ≤ 8 < lateness).
+  for (size_t i = 0; i + 1 < stamps.size(); i += 2) {
+    std::swap(stamps[i], stamps[i + 1]);
+  }
+  const auto feed = [&](ShardedSwSamplerPool* pool, size_t begin,
+                        size_t end) {
+    pool->FeedStampedLate(
+        Span<const Point>(points.data() + begin, end - begin),
+        Span<const int64_t>(stamps.data() + begin, end - begin));
+    pool->FlushLate();
+    pool->Drain();
+  };
+
+  auto twin = ShardedSwSamplerPool::Create(opts, 211, 2).value();
+  feed(&twin, 0, 100);
+  std::string ckpt;
+  ASSERT_TRUE(CheckpointPool(&twin, 0, &ckpt).ok());
+  auto recovered_r = RecoverPool(ckpt, "");
+  ASSERT_TRUE(recovered_r.ok()) << recovered_r.status().ToString();
+  ShardedSwSamplerPool recovered = std::move(recovered_r).value();
+
+  feed(&twin, 100, points.size());
+  feed(&recovered, 100, points.size());
+  EXPECT_EQ(twin.late_stats().late_dropped, 0u);
+  EXPECT_EQ(recovered.late_stats().late_dropped, 0u);
+  EXPECT_EQ(recovered.points_processed(), twin.points_processed());
+  ExpectLockstepDraws(&recovered, &twin);
+}
+
 TEST(CrashRecoveryTest, CheckpointFilesAreAtomicAndTempDebrisIsIgnored) {
   // serve::PoolCheckpointer writes every file as <name>.tmp and renames
   // it into place: a completed run leaves no temp file, and a process

@@ -302,14 +302,13 @@ TEST(PipelineStressTest, SwPoolMultiProducerLateFeedAccountsEveryPoint) {
   // concurrent Drain barriers, and a snapshotter that samples and
   // checkpoints a quiesced shard mid-stream. Producer interleaving is
   // scheduler-dependent, so points of a slow producer may land beyond
-  // the bound — the side-channel policy guarantees they are never
-  // silently lost: after FlushLate + Drain, released + redirected must
-  // reconcile exactly with the input size, whatever the schedule. Runs
-  // under TSan in CI (job `tsan` matches pipeline_stress).
+  // the bound — they are dropped but never silently lost: after
+  // FlushLate + Drain, released + dropped must reconcile exactly with
+  // the input size, whatever the schedule. Runs under TSan in CI (job
+  // `tsan` matches pipeline_stress).
   const NoisyDataset data = StressData(151, 60);
   SamplerOptions opts = StressOptions(data, 152);
   opts.allowed_lateness = 64;
-  opts.late_policy = LatePolicy::kSideChannel;
   std::vector<int64_t> stamps;
   stamps.reserve(data.size());
   for (size_t i = 0; i < data.size(); ++i) {
@@ -383,21 +382,12 @@ TEST(PipelineStressTest, SwPoolMultiProducerLateFeedAccountsEveryPoint) {
 
   pool.FlushLate();
   pool.Drain();
-  const auto late = pool.TakeLateSideChannel();
   const ReorderStats stats = pool.late_stats();
   EXPECT_EQ(stats.offered, data.size());
   EXPECT_EQ(stats.buffered, 0u);
-  EXPECT_EQ(stats.late_dropped, 0u);
-  EXPECT_EQ(stats.late_redirected, late.size());
-  EXPECT_EQ(stats.released + stats.late_redirected, data.size());
+  EXPECT_EQ(stats.released + stats.late_dropped, data.size());
   EXPECT_EQ(pool.points_processed(), stats.released);
   EXPECT_EQ(pool.now(), max_stamp);
-  // Every side-channel delivery kept its stamp, and each really was
-  // beyond the bound relative to the maximum stamp (a conservative
-  // check: the true frontier at its arrival was at most this).
-  for (const auto& entry : late) {
-    EXPECT_LT(entry.second, max_stamp - opts.allowed_lateness);
-  }
 }
 
 TEST(PipelineStressTest, StopWithBacklogProcessesEverything) {

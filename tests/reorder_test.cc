@@ -4,18 +4,17 @@
 //
 //   1. ReorderStage unit contracts: the strictly-below-frontier release
 //      rule, equal-stamp ties releasing together, flush semantics,
-//      late policies (drop counting, side-channel buffering/sinking),
-//      watermark values, and the canonical total order.
+//      drop counting of beyond-bound arrivals, watermark values, and
+//      the canonical total order.
 //
 //   2. Differential fuzzing against a sort-then-feed reference: for
 //      random disordered streams (duplicate-stamp-heavy included), the
 //      released sequence after Flush must equal the canonical sort of
-//      the within-bound survivors, the late set must match the
-//      reference's late set exactly, and the accounting identity
-//      offered == released + late_dropped + late_redirected + buffered
-//      must hold after every single offer. Beyond-bound points are
-//      never silently lost: drop counters / side-channel deliveries
-//      reconcile exactly with the input size.
+//      the within-bound survivors, the dropped count must equal the
+//      size of the reference's late set, and the accounting identity
+//      offered == released + late_dropped + buffered must hold after
+//      every single offer. Beyond-bound points are never silently
+//      lost: the drop counter reconciles exactly with the input size.
 //
 //   3. Sampler-level equivalence: a one-lane ShardedSwSamplerPool fed a
 //      disordered stream through FeedStampedLate (the only reorder front
@@ -54,10 +53,9 @@ namespace {
 
 Point P(double x) { return Point{x}; }
 
-/// offered == released + late_dropped + late_redirected + buffered.
+/// offered == released + late_dropped + buffered.
 void ExpectAccountingIdentity(const ReorderStats& s) {
-  EXPECT_EQ(s.offered,
-            s.released + s.late_dropped + s.late_redirected + s.buffered);
+  EXPECT_EQ(s.offered, s.released + s.late_dropped + s.buffered);
 }
 
 /// Drains the staged releases into flat vectors (appending).
@@ -159,38 +157,6 @@ TEST(ReorderStageTest, DropPolicyCountsBeyondBound) {
   ExpectAccountingIdentity(stats);
 }
 
-TEST(ReorderStageTest, SideChannelBuffersBeyondBound) {
-  ReorderStage stage(0, LatePolicy::kSideChannel);
-  stage.Offer(P(1), 10);
-  stage.Offer(P(2), 11);  // releases stamp 10
-  stage.Offer(P(3), 9);   // beyond bound -> internal late buffer
-  stage.Offer(P(4), 5);
-  const auto late = stage.TakeLate();
-  ASSERT_EQ(late.size(), 2u);
-  EXPECT_EQ(late[0].second, 9);  // arrival order, stamps intact
-  EXPECT_EQ(late[1].second, 5);
-  EXPECT_EQ(stage.stats().late_redirected, 2u);
-  EXPECT_EQ(stage.stats().late_dropped, 0u);
-  EXPECT_TRUE(stage.TakeLate().empty());  // drained
-  ExpectAccountingIdentity(stage.stats());
-}
-
-TEST(ReorderStageTest, SideChannelSinkDeliversBeyondBound) {
-  ReorderStage stage(0, LatePolicy::kSideChannel);
-  std::vector<std::pair<double, int64_t>> delivered;
-  stage.set_late_sink([&delivered](const Point& p, int64_t stamp) {
-    delivered.emplace_back(p[0], stamp);
-  });
-  stage.Offer(P(1), 10);
-  stage.Offer(P(2), 11);
-  stage.Offer(P(3), 9);
-  ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(delivered[0].first, 3.0);
-  EXPECT_EQ(delivered[0].second, 9);
-  EXPECT_TRUE(stage.TakeLate().empty());  // sink bypasses the buffer
-  EXPECT_EQ(stage.stats().late_redirected, 1u);
-}
-
 TEST(ReorderStageTest, WatermarkIsBoundedByMaxStamp) {
   ReorderStage stage(10, LatePolicy::kDrop);
   EXPECT_FALSE(stage.has_watermark());
@@ -289,7 +255,7 @@ TEST(ReorderFuzzTest, DifferentialVsSortThenFeedReference) {
 
     SCOPED_TRACE("trial " + std::to_string(trial) + " lateness " +
                  std::to_string(lateness) + " n " + std::to_string(n));
-    ReorderStage stage(lateness, LatePolicy::kSideChannel);
+    ReorderStage stage(lateness, LatePolicy::kDrop);
     std::vector<Point> released_points;
     std::vector<int64_t> released_stamps;
     for (size_t i = 0; i < n; ++i) {
@@ -298,18 +264,14 @@ TEST(ReorderFuzzTest, DifferentialVsSortThenFeedReference) {
     }
     stage.Flush();
     Take(&stage, &released_points, &released_stamps);
-    const auto late = stage.TakeLate();
+    const uint64_t dropped = stage.stats().late_dropped;
 
     const ReferenceSplit ref = SplitByLateness(points, stamps, lateness);
-    // Beyond-bound points are never silently lost: the side-channel
-    // deliveries reconcile exactly with the input size...
-    ASSERT_EQ(released_points.size() + late.size(), n);
-    // ... and match the reference late set in arrival order.
-    ASSERT_EQ(late.size(), ref.late.size());
-    for (size_t i = 0; i < late.size(); ++i) {
-      EXPECT_EQ(late[i].second, ref.late[i].second);
-      EXPECT_EQ(late[i].first, ref.late[i].first);
-    }
+    // Beyond-bound points are never silently lost: the drop counter
+    // reconciles exactly with the input size...
+    ASSERT_EQ(released_points.size() + dropped, n);
+    // ... and matches the reference late set.
+    ASSERT_EQ(dropped, ref.late.size());
     // The released sequence is the canonical sort of the survivors.
     std::vector<Point> sorted_points = ref.survivor_points;
     std::vector<int64_t> sorted_stamps = ref.survivor_stamps;
@@ -322,7 +284,7 @@ TEST(ReorderFuzzTest, DifferentialVsSortThenFeedReference) {
     const ReorderStats stats = stage.stats();
     EXPECT_EQ(stats.buffered, 0u);
     EXPECT_EQ(stats.released, released_points.size());
-    EXPECT_EQ(stats.late_redirected, late.size());
+    EXPECT_EQ(stats.late_dropped, ref.late.size());
     ExpectAccountingIdentity(stats);
   }
 }
@@ -585,33 +547,6 @@ TEST(ReorderWatermarkTest, EmptyPoolLanesLearnTheWatermark) {
     with_points += pool.shard(s).points_processed() > 0 ? 1 : 0;
   }
   EXPECT_EQ(with_points, 2u);
-}
-
-TEST(ReorderWatermarkTest, PoolSideChannelReconcilesExactly) {
-  // Pool-level kSideChannel: beyond-bound points surface through
-  // TakeLateSideChannel with their stamps; offered == released +
-  // redirected reconciles exactly with the input size.
-  SamplerOptions opts = LateOptions(6, 4);
-  opts.late_policy = LatePolicy::kSideChannel;
-  auto pool = ShardedSwSamplerPool::Create(opts, 100, 2).value();
-  const std::vector<Point> points = {P(1), P(2), P(3), P(4), P(5)};
-  const std::vector<int64_t> stamps = {50, 60, 55, 40, 61};
-  // 55 is within bound (60-4=56 > 55? no: 55 < 56 — beyond!); recheck:
-  // frontier after 60 is 56, so 55 and 40 are beyond-bound.
-  pool.FeedStampedLate(Span<const Point>(points),
-                       Span<const int64_t>(stamps));
-  pool.FlushLate();
-  pool.Drain();
-  const auto late = pool.TakeLateSideChannel();
-  const ReorderStats stats = pool.late_stats();
-  EXPECT_EQ(stats.offered, 5u);
-  EXPECT_EQ(stats.late_redirected, late.size());
-  EXPECT_EQ(stats.late_dropped, 0u);
-  EXPECT_EQ(stats.released + stats.late_redirected, 5u);
-  ASSERT_EQ(late.size(), 2u);
-  EXPECT_EQ(late[0].second, 55);
-  EXPECT_EQ(late[1].second, 40);
-  EXPECT_EQ(pool.points_processed(), 3u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rl0/core/sharded_pool.h"
@@ -517,6 +518,96 @@ TEST(StandingQueryTest, SamplerStateSurvivesCheckpointRecover) {
     EXPECT_EQ(EventAt(blocks[0]), 2499);  // crossing at count 2500
     ASSERT_TRUE(registry.Close("t").ok());
   }
+  std::filesystem::remove_all(root);
+}
+
+TEST(StandingQueryTest, RecoverRejectsCreateLinesThatContradictTheCheckpoint) {
+  const std::string root =
+      (std::filesystem::temp_directory_path() /
+       ("rl0_sq_mismatch_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(root);
+
+  TenantRegistry::Options options;
+  options.checkpoint_root = root;
+  TenantRegistry registry(options);
+  CreateParams late = SeqParams(2, 300, 7);
+  late.mode = TenantMode::kLate;
+  late.lateness = 12;
+  late.shards = 2;
+  late.checkpoint = true;
+  late.checkpoint_every = 64;
+
+  // Pair-swapped stamps: every batch is disordered within the bound.
+  const auto swapped = [](int64_t first, size_t n) {
+    std::vector<int64_t> stamps;
+    for (size_t i = 0; i < n; ++i) {
+      stamps.push_back(first + 4 * static_cast<int64_t>(i ^ 1));
+    }
+    return stamps;
+  };
+  std::vector<Point> points;
+  for (size_t i = 0; i < 200; ++i) {
+    Point p(2);
+    p[0] = 10.0 * static_cast<double>(i % 30);
+    p[1] = p[0];
+    points.push_back(std::move(p));
+  }
+  ASSERT_TRUE(registry.Create("t", late).ok());
+  ASSERT_TRUE(registry.FeedStamped("t", points, swapped(0, 200)).ok());
+  ASSERT_TRUE(registry.Flush("t").ok());
+  auto sampled = registry.Sample("t", 5, false, 0);
+  ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+  const std::vector<std::string> before = sampled.value();
+  ASSERT_TRUE(registry.Close("t").ok());
+
+  const std::vector<std::pair<const char*, void (*)(CreateParams*)>>
+      mismatches = {
+          {"dim", [](CreateParams* p) { p->dim = 3; }},
+          {"alpha", [](CreateParams* p) { p->alpha = 0.25; }},
+          {"metric", [](CreateParams* p) { p->metric = Metric::kL1; }},
+          {"seed", [](CreateParams* p) { p->seed = 8; }},
+          {"m", [](CreateParams* p) { p->expected_m = 1 << 15; }},
+          {"k", [](CreateParams* p) { p->k = 2; }},
+          {"reservoir", [](CreateParams* p) { p->reservoir = true; }},
+          {"window", [](CreateParams* p) { p->window = 301; }},
+          {"shards", [](CreateParams* p) { p->shards = 3; }},
+          {"mode", [](CreateParams* p) { p->mode = TenantMode::kSequence; }},
+          {"lateness", [](CreateParams* p) { p->lateness = 13; }},
+      };
+  for (const auto& [field, mutate] : mismatches) {
+    SCOPED_TRACE(field);
+    CreateParams params = late;
+    params.recover = true;
+    mutate(&params);
+    const Status status = registry.Create("t", params);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.ToString().find(field), std::string::npos)
+        << status.ToString();
+    // No tenant was registered, and the registry keeps serving.
+    EXPECT_EQ(registry.tenant_count(), 0u);
+    EXPECT_FALSE(registry.Sample("t", 1, false, 0).ok());
+    EXPECT_TRUE(registry.StatsLines("").ok());
+  }
+
+  // every= and filter= may differ; the restored pool is the closed one.
+  CreateParams params = late;
+  params.recover = true;
+  params.checkpoint_every = 0;
+  params.filter = false;
+  ASSERT_TRUE(registry.Create("t", params).ok());
+  sampled = registry.Sample("t", 5, false, 0);
+  ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+  EXPECT_EQ(sampled.value(), before);
+  // The checkpointed lateness bound is back in force: more within-bound
+  // disorder is reordered, not dropped.
+  ASSERT_TRUE(registry.FeedStamped("t", points, swapped(800, 200)).ok());
+  auto stats = registry.StatsLines("t");
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats.value().size(), 1u);
+  EXPECT_NE(stats.value()[0].find("late_dropped=0"), std::string::npos)
+      << stats.value()[0];
+  ASSERT_TRUE(registry.Close("t").ok());
   std::filesystem::remove_all(root);
 }
 

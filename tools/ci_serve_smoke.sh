@@ -9,9 +9,10 @@
 # " stamp N" (it keeps the full stamp array; the server does not), so
 # that suffix is stripped from the CLI side before diffing.
 #
-# A checkpointed tenant fed past its last cut is then killed with
-# SIGKILL; the restarted server's recovered samples must match
-# `rl0_cli sample` over the same prefix. It ends with a one-shard
+# A recover=1 CREATE that contradicts its checkpoint must answer ERR and
+# leave the server serving. A checkpointed tenant fed past its last cut
+# is then killed with SIGKILL; the restarted server's recovered samples
+# must match `rl0_cli sample` over the same prefix. It ends with a one-shard
 # `rl0_cli sample --checkpoint-dir` run whose `rl0_cli recover` output
 # must match the run's own samples.
 #
@@ -108,6 +109,24 @@ diff -u "$TMP/ck.before" "$TMP/ck.after" || {
 }
 diff -u "$TMP/s.cli" "$TMP/ck.after" > /dev/null || {
   echo "smoke: recovered tenant diverged from rl0_cli" >&2; exit 1;
+}
+
+# A recover=1 line that contradicts the checkpoint (ck is a sequence
+# tenant) must be refused with ERR, and the server must keep serving.
+client "CLOSE ck" > /dev/null
+if client \
+  "CREATE ck dim=5 alpha=0.5 window=2000 mode=time shards=4 seed=42 m=$M ckpt=1 recover=1" \
+  > "$TMP/ck.mismatch"; then
+  echo "smoke: mismatched recover=1 was accepted" >&2; exit 1
+fi
+grep -q '^ERR' "$TMP/ck.mismatch" || {
+  echo "smoke: mismatched recover=1 did not answer ERR" >&2
+  cat "$TMP/ck.mismatch" >&2
+  exit 1
+}
+client "STATS" > /dev/null || {
+  echo "smoke: server stopped serving after a mismatched recover=1" >&2
+  exit 1
 }
 
 kill "$SERVER_PID"

@@ -28,6 +28,7 @@
 #include "rl0/core/reorder_buffer.h"
 #include "rl0/core/sharded_pool.h"
 #include "rl0/serve/checkpointer.h"
+#include "rl0/serve/protocol.h"
 #include "rl0/stream/csv.h"
 #include "rl0/stream/generators.h"
 #include "rl0/stream/neardup.h"
@@ -323,12 +324,14 @@ int RunSampleWindow(const Args& args, const rl0::SamplerOptions& opts,
     fed_stamps = *stamps;
     std::sort(fed_stamps.begin(), fed_stamps.end());
   }
-  rl0::Xoshiro256pp rng(rl0::SplitMix64(args.seed ^ 0x5175657279ULL));
+  rl0::Xoshiro256pp rng(
+      rl0::SplitMix64(args.seed ^ rl0::serve::kQuerySeedSalt));
   for (int q = 0; q < args.queries; ++q) {
     const auto sample = pool.SampleLatest(&rng);
     if (!sample.has_value()) return Fail("window is empty");
-    std::printf("%s  # stream position %llu", sample->point.ToString().c_str(),
-                static_cast<unsigned long long>(sample->stream_index));
+    std::printf("%s", rl0::serve::FormatSampleLine(sample->point,
+                                                   sample->stream_index)
+                          .c_str());
     if (stamps != nullptr) {
       const int64_t stamp = fed_stamps[sample->stream_index];
       if (stamp <= fed_stamps.back() - args.window) {
@@ -370,7 +373,8 @@ int RunSampleInfinite(const Args& args, const rl0::SamplerOptions& opts,
   rl0::Result<rl0::RobustL0SamplerIW> merged = pool.Merged();
   if (!merged.ok()) return Fail(merged.status().ToString());
   rl0::RobustL0SamplerIW iw = std::move(merged).value();
-  rl0::Xoshiro256pp rng(rl0::SplitMix64(args.seed ^ 0x5175657279ULL));
+  rl0::Xoshiro256pp rng(
+      rl0::SplitMix64(args.seed ^ rl0::serve::kQuerySeedSalt));
   for (int q = 0; q < args.queries; ++q) {
     std::vector<rl0::SampleItem> drawn;
     if (args.k > 1) {
@@ -383,8 +387,9 @@ int RunSampleInfinite(const Args& args, const rl0::SamplerOptions& opts,
       drawn.push_back(*sample);
     }
     for (const rl0::SampleItem& s : drawn) {
-      std::printf("%s  # stream position %llu\n", s.point.ToString().c_str(),
-                  static_cast<unsigned long long>(s.stream_index));
+      std::printf("%s\n",
+                  rl0::serve::FormatSampleLine(s.point, s.stream_index)
+                      .c_str());
     }
   }
   // Per-lane front-end counters: the merged sampler's own counters would
@@ -458,13 +463,14 @@ int RunRecover(const Args& args) {
   if (!recovered.ok()) return Fail(recovered.status().ToString());
   rl0::ShardedSwSamplerPool pool = std::move(recovered).value();
 
-  rl0::Xoshiro256pp rng(rl0::SplitMix64(args.seed ^ 0x5175657279ULL));
+  rl0::Xoshiro256pp rng(
+      rl0::SplitMix64(args.seed ^ rl0::serve::kQuerySeedSalt));
   for (int q = 0; q < args.queries; ++q) {
     const auto sample = pool.SampleLatest(&rng);
     if (!sample.has_value()) return Fail("window is empty");
-    std::printf("%s  # stream position %llu\n",
-                sample->point.ToString().c_str(),
-                static_cast<unsigned long long>(sample->stream_index));
+    std::printf("%s\n", rl0::serve::FormatSampleLine(sample->point,
+                                                     sample->stream_index)
+                            .c_str());
   }
   // Replay rebuilt the duplicate filter and reorder stage too — report
   // their counters just like the sample paths do, so a recovered run's
