@@ -1,7 +1,5 @@
 #include "rl0/core/dup_filter.h"
 
-#include <algorithm>
-
 namespace rl0 {
 
 DupFilter::DupFilter(size_t dim, size_t payload_len, bool enabled)
@@ -65,11 +63,6 @@ uint32_t* DupFilter::Store(uint64_t cell_key, uint64_t epoch, PointView p) {
     std::memcpy(&bytes_[e * dim_], p.data(), dim_ * sizeof(double));
   }
   return &payload_[e * payload_len_];
-}
-
-void DupFilter::Invalidate() {
-  if (!enabled_) return;
-  std::fill(tags_.begin(), tags_.end(), uint16_t{0});
 }
 
 }  // namespace rl0

@@ -29,9 +29,10 @@ struct DupFilterStats {
 // DupFilter is a small 2-way set-associative cache of recently-seen exact
 // arrivals, keyed on the quantized base cell key and guarded by the full
 // point bytes. Each entry remembers (cell key, point bytes, epoch, payload
-// words). The payload is opaque to the filter: the IW sampler stores the
-// representative slot, the SW sampler stores the accept level plus the
-// per-level touched slots of the recorded descent.
+// words). The payload is opaque to the filter; its one user, the
+// infinite-window sampler, stores the representative slot. The windowed
+// samplers have no front-end filter: a descent-replay cache there was
+// consulted on every arrival of the served workloads and never hit.
 //
 // Two ways per set, with a most-recently-used bit steering eviction, keep
 // the dominant pattern of a cell resident while near-duplicate noise churns
@@ -43,12 +44,10 @@ struct DupFilterStats {
 // Decision-identity contract: the filter never decides anything by itself.
 // A Lookup only *finds* a candidate replay; the caller must (a) validate the
 // entry's epoch against the live structure generation so cached slots never
-// dangle across Refilter/Expire/Compact/Promote repacks, and (b) re-verify
-// the cached representative with the real distance kernel before replaying.
-// Epoch validation lives with the caller because the SW epoch is itself a
-// function of the payload (the accept level selects which level generations
-// participate). On any doubt the caller falls through to the full probe,
-// which is always correct.
+// dangle across Refilter/Compact repacks, and (b) re-verify the cached
+// representative with the real distance kernel before replaying. On any
+// doubt the caller falls through to the full probe, which is always
+// correct.
 //
 // The filter's arrays are scratch state (like adj_scratch_): they are not
 // charged to the SpaceMeter and never enter snapshots, so snapshot bytes are
@@ -69,7 +68,7 @@ class DupFilter {
   static constexpr size_t kEntries = kSets * kWays;
 
   // Result of a probe. `payload` points at `payload_len` words recorded by
-  // the matching Store; valid until the next Store/Invalidate.
+  // the matching Store; valid until the next Store.
   struct View {
     const uint32_t* payload = nullptr;
     uint64_t epoch = 0;
@@ -97,11 +96,6 @@ class DupFilter {
   // empty way is filled next, otherwise the least-recently-used way is
   // evicted.
   uint32_t* Store(uint64_t cell_key, uint64_t epoch, PointView p);
-
-  // Drops every cached entry. Cheap (clears one tag byte array); correctness
-  // never depends on it thanks to epoch validation, but callers may use it
-  // after wholesale rebuilds.
-  void Invalidate();
 
   // Outcome accounting. The caller (not Lookup) counts, because a found
   // entry may still be rejected by the caller-side epoch check.

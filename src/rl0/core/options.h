@@ -85,13 +85,14 @@ struct SamplerOptions {
   /// instead of its fixed representative (Section 2.3 reservoir variant).
   bool random_representative = false;
 
-  /// Enables the duplicate-suppression front-end (core/dup_filter.h): a
-  /// small cache that short-circuits the adjacency DFS for exact repeat
-  /// arrivals. Never changes decisions or RNG consumption — accepted
-  /// samples, coin streams, and snapshot bytes are bit-identical with it
-  /// on or off — so it is on by default; turn off to measure the raw
-  /// probe path (bench_filter) or shave scratch memory. Compiled out
-  /// entirely by -DRL0_NO_DUP_FILTER.
+  /// Enables the infinite-window sampler's duplicate-suppression
+  /// front-end (core/dup_filter.h): a small cache that short-circuits the
+  /// adjacency DFS for exact repeat arrivals. Never changes decisions or
+  /// RNG consumption — accepted samples, coin streams, and snapshot bytes
+  /// are bit-identical with it on or off — so it is on by default; turn
+  /// off to measure the raw probe path (bench_filter) or shave scratch
+  /// memory. Compiled out entirely by -DRL0_NO_DUP_FILTER. The windowed
+  /// samplers have no front-end and ignore it.
   bool dup_filter = true;
 
   /// Bounded-lateness ingestion (core/reorder_buffer.h): the pool's late

@@ -95,7 +95,8 @@ class LanePool {
   size_t SpaceWords() const;
 
   /// Summed duplicate-suppression counters over the per-lane filters
-  /// (each shard owns its own front-end; see core/dup_filter.h).
+  /// (each IW shard owns its own front-end, see core/dup_filter.h;
+  /// windowed shards have none and count every point as bypassed).
   /// Requires a quiescent pipeline.
   DupFilterStats FilterStats() const;
 

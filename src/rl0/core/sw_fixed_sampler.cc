@@ -126,9 +126,7 @@ uint32_t SwFixedRateSampler::FindCandidate(
   return SwGroupTable::kNpos;
 }
 
-InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p,
-                                                 uint32_t* touched_slot) {
-  if (touched_slot != nullptr) *touched_slot = SwGroupTable::kNpos;
+InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p) {
   Expire(p.stamp);
 
   const uint32_t candidate = ((p.chain_levels >> level_) & 1) != 0
@@ -137,8 +135,10 @@ InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p,
   if (candidate != SwGroupTable::kNpos) {
     // Same group as a tracked representative: refresh its latest point
     // (Algorithm 2 line 6: A ← (u,p) ∪ A \ (u,·)).
-    ReplayTouch(p, candidate);
-    if (touched_slot != nullptr) *touched_slot = candidate;
+    table_.Touch(candidate, *p.point, p.stamp, p.stream_index);
+    if (ctx_->options.random_representative) {
+      table_.ReservoirInsert(candidate, *p.point, p.stamp, p.stream_index);
+    }
     return table_.accepted(candidate) ? InsertOutcome::kAccepted
                                       : InsertOutcome::kRejected;
   }
@@ -158,14 +158,6 @@ InsertOutcome SwFixedRateSampler::InsertPrepared(const PreparedPoint& p,
   }
   if (accepted) ++accept_size_;
   return accepted ? InsertOutcome::kAccepted : InsertOutcome::kRejected;
-}
-
-void SwFixedRateSampler::ReplayTouch(const PreparedPoint& p, uint32_t slot) {
-  RL0_DCHECK(table_.IsLive(slot));
-  table_.Touch(slot, *p.point, p.stamp, p.stream_index);
-  if (ctx_->options.random_representative) {
-    table_.ReservoirInsert(slot, *p.point, p.stamp, p.stream_index);
-  }
 }
 
 bool SwFixedRateSampler::Insert(const Point& p, int64_t stamp) {
@@ -231,16 +223,6 @@ void SwFixedRateSampler::AcceptedGroupSamples(int64_t now,
         continue;
       }
     }
-    out->push_back(
-        SampleItem{store_->View(table_.latest_ref(slot)).Materialize(),
-                   table_.latest_index(slot)});
-  }
-}
-
-void SwFixedRateSampler::AcceptedLatestPoints(
-    std::vector<SampleItem>* out) const {
-  for (uint32_t slot = 0; slot < table_.slot_count(); ++slot) {
-    if (!table_.IsLive(slot) || !table_.accepted(slot)) continue;
     out->push_back(
         SampleItem{store_->View(table_.latest_ref(slot)).Materialize(),
                    table_.latest_index(slot)});

@@ -106,26 +106,7 @@ class SwFixedRateSampler {
   /// Feeds a point prepared by SamplerContext::Prepare. Expires dead
   /// groups first. Reports whether the point was recorded, and into which
   /// class (see InsertOutcome).
-  InsertOutcome InsertPrepared(const PreparedPoint& p) {
-    return InsertPrepared(p, nullptr);
-  }
-
-  /// As above; additionally reports *how* the point was recorded: when it
-  /// refreshed an existing pair, `*touched_slot` receives that group's
-  /// slot, otherwise kNpos (new representative or ignored). The hierarchy
-  /// uses this to tell pure-touch arrivals — the only ones the
-  /// duplicate-suppression front-end may record — from ones that mutated
-  /// group structure.
-  InsertOutcome InsertPrepared(const PreparedPoint& p,
-                               uint32_t* touched_slot);
-
-  /// Replays the touch half of a recorded descent step at this level: the
-  /// exact mutations InsertPrepared's candidate branch performs (latest
-  /// point/stamp refresh plus the reservoir coin), without the probe.
-  /// Only valid when the table generation is unchanged since `slot` was
-  /// recorded as this arrival's touch target (core/dup_filter.h contract);
-  /// the caller has already run this level's Expire for `p.stamp`.
-  void ReplayTouch(const PreparedPoint& p, uint32_t slot);
+  InsertOutcome InsertPrepared(const PreparedPoint& p);
 
   /// Feeds a prepared point; true iff it was recorded at all (updated an
   /// existing pair or became a new accepted/rejected representative).
@@ -165,15 +146,6 @@ class SwFixedRateSampler {
   const SamplerContext& context() const { return *ctx_; }
   /// The flat group table (introspection for tests).
   const SwGroupTable& table() const { return table_; }
-  /// This level's structure generation (see SwGroupTable::generation) —
-  /// the epoch component the duplicate-suppression front-end sums over
-  /// the levels a recorded descent probed.
-  uint64_t generation() const { return table_.generation(); }
-
-  /// Appends the latest points of accepted groups to `out` (A(Sacc)), in
-  /// slot order (deterministic for a fixed insertion history).
-  void AcceptedLatestPoints(std::vector<SampleItem>* out) const;
-
   /// Appends one sample item per accepted group: the group's windowed-
   /// reservoir sample (random_representative mode) or its latest point.
   /// Expires the reservoirs at `now` first.

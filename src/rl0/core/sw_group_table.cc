@@ -197,7 +197,6 @@ uint32_t SwGroupTable::Add(uint64_t id, PointView point,
   LinkCell(slot);
   AppendStampTail(slot);
   ++live_;
-  ++generation_;
   return slot;
 }
 
@@ -223,7 +222,6 @@ void SwGroupTable::Remove(uint32_t slot) {
   flags_[slot] = 0;
   free_slots_.push_back(slot);
   --live_;
-  ++generation_;
 }
 
 SwGroupTable::MovedGroup SwGroupTable::Extract(uint32_t slot) {
@@ -244,7 +242,6 @@ SwGroupTable::MovedGroup SwGroupTable::Extract(uint32_t slot) {
   flags_[slot] = 0;
   free_slots_.push_back(slot);
   --live_;
-  ++generation_;
   return g;
 }
 
@@ -266,7 +263,6 @@ uint32_t SwGroupTable::AdoptMoved(MovedGroup&& g) {
   LinkCell(slot);
   InsertStampSorted(slot);
   ++live_;
-  ++generation_;
   return slot;
 }
 
@@ -343,7 +339,6 @@ void SwGroupTable::Compact() {
   for (const auto& entry : heads) {
     cell_index_.SetHead(entry.first, entry.second);
   }
-  ++generation_;
 }
 
 void SwGroupTable::Clear() {
@@ -353,9 +348,6 @@ void SwGroupTable::Clear() {
   // only shrank it to the empty list Clear would rebuild).
   if (cleared_) return;
   cleared_ = true;
-  // An empty Clear observes nothing and so must not invalidate filter
-  // epochs.
-  if (live_ > 0) ++generation_;
   for (uint32_t slot = 0; slot < flags_.size(); ++slot) {
     if (!IsLive(slot)) continue;
     if (masks_ != nullptr) masks_->Reset(rep_cell_[slot], level_);

@@ -174,7 +174,7 @@ class SwGroupTable {
   /// step). Keeps column capacity. O(1) when no slot was allocated since
   /// the last Clear: the table is then already in the state Clear
   /// produces (free list in slot order, fresh cell index), so slot reuse
-  /// order, slot-order iteration and generation() are unaffected.
+  /// order and slot-order iteration are unaffected.
   void Clear();
 
   /// Compacts the slot columns: live groups move down to [0, live()),
@@ -263,18 +263,6 @@ class SwGroupTable {
   /// The bound arena (introspection).
   const PointStore* store() const { return store_; }
 
-  /// \brief Structure generation: bumped by every mutation that can change
-  /// what a probe over this table observes — Add, Remove, Extract,
-  /// AdoptMoved, Compact, and Clear (when it dropped live groups).
-  ///
-  /// Touch deliberately does NOT bump: it rewrites the latest point /
-  /// stamp / expiry links, none of which the candidate probe reads (the
-  /// probe walks cell chains and distance-checks representatives), and
-  /// the duplicate-replay path performs its own expiry pass live. The
-  /// duplicate-suppression front-end (core/dup_filter.h) sums these
-  /// counters over the probed levels as its epoch. Monotone.
-  uint64_t generation() const { return generation_; }
-
   // -------------------------------------------------- checkpoint support
 
   /// Starts a new checkpoint epoch: a slot reports SlotDirty() only for
@@ -331,7 +319,6 @@ class SwGroupTable {
   uint32_t stamp_tail_ = kNpos;
   std::vector<uint32_t> free_slots_;
   size_t live_ = 0;
-  uint64_t generation_ = 0;
   size_t reservoir_candidates_ = 0;
   // No slot allocated since the last Clear (a fresh table counts as
   // cleared): Clear has nothing to do.

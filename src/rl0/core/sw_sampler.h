@@ -198,9 +198,13 @@ class RobustL0SamplerSW {
   /// Peak space in words since construction.
   size_t PeakSpaceWords() const { return meter_.peak(); }
 
-  /// Duplicate-suppression front-end counters (core/dup_filter.h).
+  /// Duplicate-suppression counters (core/dup_filter.h). The windowed
+  /// hierarchy has no front-end filter (options.dup_filter is ignored), so
+  /// every arrival counts as bypassed.
   DupFilterStats filter_stats() const {
-    return dup_filter_.stats(points_processed_);
+    DupFilterStats s;
+    s.bypassed = points_processed_;
+    return s;
   }
 
   /// The options in force.
@@ -224,14 +228,6 @@ class RobustL0SamplerSW {
   void Cascade(size_t start_level);
   void ExpireAll(int64_t now);
 
-  /// Σ level generation over [from_level, L] — the front-end epoch of a
-  /// descent that probed levels from_level..L. Lower levels are excluded
-  /// because a recorded descent never probes them (they are only Reset,
-  /// which the replay performs live regardless of their content); each
-  /// level generation is monotone, so the sum is too and stale entries
-  /// can never collide back to a valid epoch.
-  uint64_t SuffixEpoch(size_t from_level) const;
-
   /// Refreshes the space meter after a state change.
   void UpdateMeter();
 
@@ -242,17 +238,6 @@ class RobustL0SamplerSW {
   void InsertEach(Span<const Point> points, size_t start, size_t stride,
                   InsertFn&& insert);
 
-  /// Attempts to replay a recorded descent for an exact repeat arrival.
-  /// Returns true when the arrival was fully handled (bit-identically to
-  /// the full descent); false means the caller must run the full descent
-  /// (any expiry work already done here is a prefix of what the full
-  /// descent performs, so falling through stays identical too).
-  bool TryReplayDuplicate(const Point& p, int64_t stamp,
-                          uint64_t stream_index);
-
-  /// Records a completed pure-touch descent (touch targets in
-  /// touch_scratch_) under the suffix epoch of its probed levels.
-  void RecordDuplicate(const PreparedPoint& prep, size_t accept_level);
   /// Collects the rate-unified candidate pool (Algorithm 3 lines 19-22),
   /// unified to max(own deepest level, min_level); min_level < 0 means
   /// the sampler's own deepest level.
@@ -276,15 +261,6 @@ class RobustL0SamplerSW {
   uint64_t stuck_split_count_ = 0;
   SpaceMeter meter_;
   std::vector<uint64_t> adj_scratch_;
-
-  // Duplicate-suppression front-end (core/dup_filter.h). Payload layout:
-  // word 0 = accept level (levels_.size() when no level accepted), words
-  // 1..L+1 = per-level touched slot or SwGroupTable::kNpos. Scratch state
-  // — not charged to the SpaceMeter, never snapshotted.
-  DupFilter dup_filter_;
-  // Per-level touch targets of the descent in flight (kNpos = level
-  // ignored or arrival not recordable).
-  std::vector<uint32_t> touch_scratch_;
 
   // Event-time watermark from NoteWatermark — scratch, not serialized
   // (restore resumes at the latest stamp), so watermark propagation

@@ -110,28 +110,46 @@ Result<LoadedChain> LoadCheckpointChain(const std::string& dir) {
   return out;
 }
 
-PoolCheckpointer::PoolCheckpointer(ShardedSwSamplerPool* pool,
-                                   std::string dir, uint64_t every,
-                                   size_t dim)
-    : pool_(pool),
-      dir_(std::move(dir)),
-      every_(every),
-      writer_(&staged_, dim),
-      next_cut_(every) {
+Result<std::unique_ptr<PoolCheckpointer>> PoolCheckpointer::Open(
+    ShardedSwSamplerPool* pool, const std::string& dir, uint64_t every,
+    size_t dim, const LoadedChain* recovered) {
+  // Best-effort: the open cut reports a directory it cannot write.
   std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);  // best-effort; the
-  AttachJournal(pool_, &writer_);  // first Cut reports a bad dir
+  std::filesystem::create_directories(dir, ec);
+  if (recovered == nullptr) {
+    // Base before journal (see file comment): a crash between the two
+    // removals leaves a directory that recovers nothing, never the
+    // previous occupant's stream.
+    for (const std::string& path :
+         {CheckpointFileName(dir, 0, /*full=*/true), JournalName(dir)}) {
+      std::filesystem::remove(path, ec);
+      if (ec) {
+        return Status::Internal("cannot remove '" + path +
+                                "': " + ec.message());
+      }
+    }
+  }
+  std::unique_ptr<PoolCheckpointer> ckpt(new PoolCheckpointer(
+      pool, dir, every, dim,
+      recovered != nullptr ? recovered->journal : std::string(),
+      recovered != nullptr ? recovered->journal_records : 0));
+  const Status status = ckpt->Cut();
+  if (!status.ok()) return status;
+  return ckpt;
 }
 
 PoolCheckpointer::PoolCheckpointer(ShardedSwSamplerPool* pool,
                                    std::string dir, uint64_t every,
-                                   size_t dim, LoadedChain chain)
+                                   size_t dim, std::string journal,
+                                   uint64_t journal_records)
     : pool_(pool),
       dir_(std::move(dir)),
       every_(every),
-      staged_(std::move(chain.journal)),
-      writer_(&staged_, dim, chain.journal_records),
-      next_cut_(every) {
+      staged_(std::move(journal)),
+      writer_(&staged_, dim, journal_records),
+      // The open cut covers everything fed so far (a recovered pool's
+      // whole stream): the cadence resumes at the next boundary past it.
+      next_cut_(every == 0 ? 0 : (pool->points_fed() / every + 1) * every) {
   AttachJournal(pool_, &writer_);
 }
 
@@ -140,33 +158,15 @@ PoolCheckpointer::~PoolCheckpointer() {
   if (journal_fd_ >= 0) ::close(journal_fd_);
 }
 
-Status PoolCheckpointer::Rebase() {
-  chain_.clear();
-  cuts_ = 0;
-  const Status status = Cut();  // full (chain_ empty), continuing seq
-  if (!status.ok()) return status;
-  if (every_ != 0) {
-    // Resume the cadence from the recovered fed count — the rebase cut
-    // just covered everything up to here.
-    next_cut_ = every_;
-    const uint64_t fed = pool_->points_fed();
-    while (next_cut_ <= fed) next_cut_ += every_;
-  }
-  return Status::OK();
-}
-
 Status PoolCheckpointer::MaybeCut() {
-  if (every_ == 0 || pool_->points_fed() < next_cut_) {
-    // Until the first cut creates journal.log, records stay staged.
-    return journal_fd_ < 0 ? Status::OK() : FlushJournal();
-  }
+  if (every_ == 0 || pool_->points_fed() < next_cut_) return FlushJournal();
   while (pool_->points_fed() >= next_cut_) next_cut_ += every_;
   return Cut();
 }
 
 Status PoolCheckpointer::FlushJournal() {
   if (journal_fd_ < 0) {
-    // The first cut writes the whole journal so far, which also drops
+    // The open cut writes the whole journal so far, which also drops
     // the torn tail a recovered journal may have had on disk.
     const std::string path = JournalName(dir_);
     if (!WriteFileBytes(path, staged_)) {
@@ -224,7 +224,7 @@ Status PoolCheckpointer::Cut() {
   const bool written = WriteTemp(name, blob);
   if (written && full) {
     // Deltas already on disk chain against an older base (a recovered
-    // pool's pre-crash epoch, or a previous run in this directory).
+    // pool's pre-crash epoch, or a previous occupant of this directory).
     // Remove them after the new base is safely in its temp file and
     // before it replaces ckpt-000000.full: a crash in between leaves the
     // old base and the whole journal, which still recover exactly, and

@@ -13,21 +13,23 @@
 // server each tenant created with ckpt=1 owns one PoolCheckpointer
 // rooted at <checkpoint-root>/<tenant>.
 //
-// Journal file: a checkpointer's first cut (re)creates journal.log as
-// the whole journal so far — header plus records for a fresh tenant, the
-// recovered valid prefix plus new records for a recovered one (which
-// drops a torn tail). From then on the file only grows: MaybeCut() and
-// every later cut append the records staged since the last append, so
-// once MaybeCut() returns, every fed chunk is in journal.log. Before the
-// first cut records stay in memory and nothing is written.
+// Open cut: PoolCheckpointer::Open cuts the chain before it returns,
+// so a directory recovers its tenant from the moment the tenant exists.
+// A fresh open first removes the previous occupant's ckpt-000000.full and
+// then its journal.log — in that order, so a crash at any point leaves
+// either no base (nothing recovers) or the new one, never the old base
+// with records to replay into the new tenant. A recovered open
+// cuts a new ckpt-000000.full at the continuing journal sequence: a
+// delta can only be cut against the dirty-tracking epoch a *full* cut
+// marked on the live shard tables (core/checkpoint.h), and a recovered
+// pool has none. Either full cut deletes the stale delta files.
 //
-// Recovery rebase: a delta can only be cut against the dirty-tracking
-// epoch a *full* cut marked on the live shard tables
-// (core/checkpoint.h). A freshly recovered pool has no epoch, and the
-// journal has moved past the on-disk chain — so Rebase() cuts a new
-// ckpt-000000.full (with the continuing journal sequence) and deletes
-// the stale delta files. Skipping the rebase and cutting a delta first
-// would chain it to a base the recovered state no longer matches.
+// Journal file: the open cut (re)creates journal.log as the whole
+// journal so far — just the header for a fresh tenant, the recovered
+// valid prefix for a recovered one (which drops a torn tail). From then
+// on the file only grows: MaybeCut() and every later cut append the
+// records staged since the last append, so once MaybeCut() returns,
+// every fed chunk is in journal.log.
 //
 // Atomic files: every checkpoint file, and journal.log at its creation,
 // is written to `<name>.tmp` and renamed over `<name>`, so a process
@@ -42,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -86,23 +89,20 @@ struct LoadedChain {
 Result<LoadedChain> LoadCheckpointChain(const std::string& dir);
 
 /// Journals every chunk fed to `pool` and cuts the checkpoint chain
-/// under `dir`: a full cut first, then deltas every `every` points
-/// (plus explicit Finish() cuts). After the first cut, MaybeCut() appends
-/// the chunks fed since the previous call to journal.log, so a process
-/// crash loses no chunk fed before a MaybeCut() that returned OK.
+/// under `dir`: a full cut at Open, then deltas every `every` points
+/// (plus explicit Finish() cuts). MaybeCut() appends the chunks fed since
+/// the previous call to journal.log, so a process crash loses no chunk
+/// fed before a MaybeCut() that returned OK.
 class PoolCheckpointer {
  public:
-  /// Fresh tenant: empty journal, first cut writes ckpt-000000.full.
-  /// Attaches the journal tap to `pool`; `dim` is the point
-  /// dimensionality the journal frames. `every` == 0 means only
-  /// explicit Finish() cuts.
-  PoolCheckpointer(ShardedSwSamplerPool* pool, std::string dir,
-                   uint64_t every, size_t dim);
-
-  /// Recovered tenant: continue `chain.journal` at sequence
-  /// `chain.journal_records`. Call Rebase() before feeding.
-  PoolCheckpointer(ShardedSwSamplerPool* pool, std::string dir,
-                   uint64_t every, size_t dim, LoadedChain chain);
+  /// Attaches the journal tap to `pool` and makes the open cut (see file
+  /// comment). `recovered` is the chain `pool` was recovered from, or
+  /// null for a fresh tenant (whose pool must not have been fed yet).
+  /// `dim` is the point dimensionality the journal frames. `every` == 0
+  /// means only explicit Finish() cuts.
+  static Result<std::unique_ptr<PoolCheckpointer>> Open(
+      ShardedSwSamplerPool* pool, const std::string& dir, uint64_t every,
+      size_t dim, const LoadedChain* recovered);
 
   /// Detaches the journal tap.
   ~PoolCheckpointer();
@@ -110,13 +110,9 @@ class PoolCheckpointer {
   PoolCheckpointer(const PoolCheckpointer&) = delete;
   PoolCheckpointer& operator=(const PoolCheckpointer&) = delete;
 
-  /// Post-recovery rebase: cut a fresh full base at the continuing
-  /// journal sequence, deleting the stale delta files (see file comment).
-  Status Rebase();
-
   /// Call after feeding; cuts when the fed count crossed the next
   /// `every` boundary, and otherwise appends the staged journal records
-  /// to journal.log once the first cut has created it.
+  /// to journal.log.
   Status MaybeCut();
 
   /// An explicit cut (end of stream, FLUSH, tenant CLOSE).
@@ -127,8 +123,14 @@ class PoolCheckpointer {
   size_t journal_bytes() const { return file_bytes_ + staged_.size(); }
 
  private:
+  /// Continues `journal` (`journal_records` records) — empty and 0 for a
+  /// fresh tenant, whose writer then stages the journal header.
+  PoolCheckpointer(ShardedSwSamplerPool* pool, std::string dir,
+                   uint64_t every, size_t dim, std::string journal,
+                   uint64_t journal_records);
+
   Status Cut();
-  /// Creates journal.log from the staged bytes (first cut), or appends
+  /// Creates journal.log from the staged bytes (open cut), or appends
   /// them to it; clears the stage on success.
   Status FlushJournal();
 
@@ -140,7 +142,7 @@ class PoolCheckpointer {
   std::string chain_;  // folded full checkpoint the next delta chains on
   uint64_t next_cut_;
   size_t cuts_ = 0;
-  int journal_fd_ = -1;  // journal.log, open for append after first cut
+  int journal_fd_ = -1;  // journal.log, open for append after the open cut
   size_t file_bytes_ = 0;  // bytes appended to journal.log so far
   bool append_failed_ = false;  // journal.log may end in a partial record
 };

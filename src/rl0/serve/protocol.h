@@ -27,6 +27,10 @@
 //   CLOSE <tenant>
 //   QUIT
 //
+// CREATE accepts filter=0|1 but ignores it: every tenant is windowed, and
+// the windowed samplers have no duplicate-suppression front-end
+// (core/dup_filter.h serves only the infinite-window sampler).
+//
 // This header is the pure, socket-free half: a LineDecoder that turns
 // arbitrary byte arrivals (partial reads, pipelined commands, oversized
 // garbage) into complete lines, and ParseCommand, which turns one line
@@ -135,6 +139,8 @@ struct CreateParams {
   uint64_t expected_m = uint64_t{1} << 20;
   size_t k = 1;
   bool reservoir = false;
+  /// The CREATE key filter= — parsed and validated, then ignored (see
+  /// the grammar note above).
   bool filter = true;
   /// Checkpoint this tenant under <checkpoint-root>/<tenant> (requires
   /// the server to be started with a checkpoint root).

@@ -142,7 +142,6 @@ Status TenantRegistry::BuildAndRegister(const std::string& name,
   opts.k = params.k;
   opts.random_representative = params.reservoir;
   opts.expected_stream_length = params.expected_m;
-  opts.dup_filter = params.filter;
   if (params.mode == TenantMode::kLate) {
     opts.allowed_lateness = params.lateness;
   }
@@ -152,11 +151,12 @@ Status TenantRegistry::BuildAndRegister(const std::string& name,
   auto tenant = std::make_shared<Tenant>(name, params, cvm_capacity_);
   const std::string dir =
       params.checkpoint ? checkpoint_root_ + "/" + name : std::string();
+  LoadedChain chain;
   if (params.recover) {
-    auto chain = LoadCheckpointChain(dir);
-    if (!chain.ok()) return chain.status();
-    auto recovered =
-        RecoverPool(chain.value().checkpoint, chain.value().journal, pipe);
+    auto loaded = LoadCheckpointChain(dir);
+    if (!loaded.ok()) return loaded.status();
+    chain = std::move(loaded).value();
+    auto recovered = RecoverPool(chain.checkpoint, chain.journal, pipe);
     if (!recovered.ok()) return recovered.status();
     if (const char* field = RecoveredMismatch(params, recovered.value())) {
       return Status::InvalidArgument(std::string("recover=1: ") + field +
@@ -164,11 +164,6 @@ Status TenantRegistry::BuildAndRegister(const std::string& name,
     }
     tenant->pool = std::make_unique<ShardedSwSamplerPool>(
         std::move(recovered).value());
-    tenant->ckpt = std::make_unique<PoolCheckpointer>(
-        tenant->pool.get(), dir, params.checkpoint_every, params.dim,
-        std::move(chain).value());
-    const Status rebased = tenant->ckpt->Rebase();
-    if (!rebased.ok()) return rebased;
     if (tenant->pool->now() >= 0 && params.mode != TenantMode::kSequence) {
       tenant->last_stamp = tenant->pool->now();
       tenant->last_stamp_set = true;
@@ -179,10 +174,13 @@ Status TenantRegistry::BuildAndRegister(const std::string& name,
     if (!pool.ok()) return pool.status();
     tenant->pool =
         std::make_unique<ShardedSwSamplerPool>(std::move(pool).value());
-    if (params.checkpoint) {
-      tenant->ckpt = std::make_unique<PoolCheckpointer>(
-          tenant->pool.get(), dir, params.checkpoint_every, params.dim);
-    }
+  }
+  if (params.checkpoint) {
+    auto ckpt = PoolCheckpointer::Open(tenant->pool.get(), dir,
+                                       params.checkpoint_every, params.dim,
+                                       params.recover ? &chain : nullptr);
+    if (!ckpt.ok()) return ckpt.status();
+    tenant->ckpt = std::move(ckpt).value();
   }
 
   MutexLock lock(&mu_);
@@ -516,12 +514,24 @@ Status TenantRegistry::Close(const std::string& name) {
     }
     tenant = std::move(it->second);
     tenants_.erase(it);
+    // Hold the name until the final cut returns: a CREATE of it would
+    // otherwise open the same checkpoint directory while this cut still
+    // writes there.
+    creating_.insert(name);
   }
   // The map no longer reaches the tenant; in-flight operations holding
   // the shared_ptr finish under t->mu before the state is torn down.
-  MutexLock lock(&tenant->mu);
-  const Status status = FlushLocked(tenant.get());
-  tenant->subs.clear();
+  Status status;
+  {
+    MutexLock lock(&tenant->mu);
+    status = FlushLocked(tenant.get());
+    tenant->subs.clear();
+    // A feed still holding the shared_ptr must not journal into the
+    // directory once the name is free again.
+    tenant->ckpt.reset();
+  }
+  MutexLock lock(&mu_);
+  creating_.erase(name);
   return status;
 }
 
@@ -545,19 +555,16 @@ Result<std::vector<std::string>> TenantRegistry::StatsLines(
   Tenant* t = tenant.get();
   MutexLock lock(&t->mu);
   t->pool->Drain();
-  const DupFilterStats filter = t->pool->FilterStats();
   const ReorderStats late = t->pool->late_stats();
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
       "STAT tenant=%s mode=%s shards=%zu window=%lld points=%" PRIu64
-      " now=%lld space_words=%zu subs=%zu f0_exact=%.6g f0_observed=%" PRIu64
-      " filter_hit=%" PRIu64 " filter_miss=%" PRIu64 " filter_bypass=%" PRIu64,
+      " now=%lld space_words=%zu subs=%zu f0_exact=%.6g f0_observed=%" PRIu64,
       t->name.c_str(), ModeName(t->params.mode), t->pool->num_shards(),
       static_cast<long long>(t->pool->window()), t->pool->points_fed(),
       static_cast<long long>(t->pool->now()), t->pool->SpaceWords(),
-      t->subs.size(), t->cvm.Estimate(), t->cvm.observed(), filter.hits,
-      filter.misses, filter.bypassed);
+      t->subs.size(), t->cvm.Estimate(), t->cvm.observed());
   std::string line = buf;
   if (late.offered != 0) {
     std::snprintf(buf, sizeof(buf),

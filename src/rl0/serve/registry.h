@@ -38,16 +38,17 @@
 // command stalls, and with it the feeding client's socket.
 //
 // Durability: tenants created with ckpt=1 own a PoolCheckpointer under
-// <checkpoint-root>/<tenant>; recover=1 restores from that directory
-// (journal replay included) and rebases the chain (fresh full cut)
-// before accepting new points. The CREATE line must agree with what
-// the checkpoint records — dim, alpha, metric, seed, m, k, reservoir,
-// window, shards, the latched sequence-vs-stamped mode and, for
-// mode=late, the lateness bound — or the CREATE fails and no tenant is
-// registered (every= and filter= may differ: the first is a deployment
-// setting, the second never changes decisions). Subscriptions and CVM
-// state are scratch: they do not survive recovery — only sampler state
-// does.
+// <checkpoint-root>/<tenant>, which cuts the chain as CREATE opens it;
+// recover=1 restores from that directory (journal replay included)
+// before that cut. The CREATE line must agree with what the checkpoint
+// records — dim, alpha, metric, seed, m, k, reservoir, window, shards,
+// the latched sequence-vs-stamped mode and, for mode=late, the lateness
+// bound — or the CREATE fails and no tenant is registered (every= and
+// filter= may differ: the first is a deployment setting, the second is
+// ignored — windowed samplers have no duplicate filter). A CREATE of a
+// name whose CLOSE is still cutting fails as if the tenant existed.
+// Subscriptions and CVM state are scratch: they do not survive recovery
+// — only sampler state does.
 
 #ifndef RL0_SERVE_REGISTRY_H_
 #define RL0_SERVE_REGISTRY_H_
@@ -236,10 +237,10 @@ class TenantRegistry {
   mutable Mutex mu_;
   std::map<std::string, std::shared_ptr<Tenant>> tenants_
       RL0_GUARDED_BY(mu_);
-  /// Names with a Create in flight. Reserving here before building
-  /// keeps two concurrent CREATEs of one name from both running
-  /// recovery (Rebase rewrites the checkpoint chain) against the same
-  /// directory.
+  /// Names with a Create or a Close in flight. Reserving here keeps a
+  /// CREATE from opening a checkpoint directory (the open cut rewrites
+  /// the chain) while another CREATE or the final cut of a CLOSE of the
+  /// same name still writes there.
   std::set<std::string> creating_ RL0_GUARDED_BY(mu_);
 };
 

@@ -26,6 +26,7 @@
 #include "rl0/core/checkpoint.h"
 #include "rl0/core/snapshot.h"
 #include "rl0/serve/checkpointer.h"
+#include "rl0/serve/registry.h"
 #include "rl0/util/rng.h"
 
 namespace rl0 {
@@ -433,16 +434,18 @@ TEST(CrashRecoveryTest, CheckpointFilesAreAtomicAndTempDebrisIsIgnored) {
   size_t cuts = 0;
   {
     auto pool = ShardedSwSamplerPool::Create(PoolOptions(7), 400, 2).value();
-    serve::PoolCheckpointer ckpt(&pool, dir.string(), /*every=*/512,
-                                 /*dim=*/1);
+    auto ckpt = serve::PoolCheckpointer::Open(&pool, dir.string(),
+                                              /*every=*/512, /*dim=*/1,
+                                              /*recovered=*/nullptr)
+                    .value();
     const Span<const Point> all(points);
     for (size_t offset = 0; offset < all.size(); offset += 300) {
       pool.Feed(all.subspan(offset, 300));
-      ASSERT_TRUE(ckpt.MaybeCut().ok());
+      ASSERT_TRUE(ckpt->MaybeCut().ok());
     }
     pool.Drain();
-    ASSERT_TRUE(ckpt.Finish().ok());
-    cuts = ckpt.cuts();
+    ASSERT_TRUE(ckpt->Finish().ok());
+    cuts = ckpt->cuts();
   }
   ASSERT_GE(cuts, 4u);
   size_t files = 0;
@@ -478,18 +481,20 @@ TEST(CrashRecoveryTest, CheckpointFilesAreAtomicAndTempDebrisIsIgnored) {
   EXPECT_EQ(ShardBlobs(with_debris), ShardBlobs(clean));
   ExpectLockstepDraws(&with_debris, &clean);
 
-  // A shorter run reusing the directory: its full cut must retire the
+  // A shorter run reusing the directory: its open cut must retire the
   // longer chain's deltas, or recovery would try to fold them onto the
   // new base.
   {
     auto pool = ShardedSwSamplerPool::Create(PoolOptions(8), 400, 2).value();
-    serve::PoolCheckpointer ckpt(&pool, dir.string(), /*every=*/512,
-                                 /*dim=*/1);
+    auto ckpt = serve::PoolCheckpointer::Open(&pool, dir.string(),
+                                              /*every=*/512, /*dim=*/1,
+                                              /*recovered=*/nullptr)
+                    .value();
     pool.Feed(Span<const Point>(points.data(), 700));
-    ASSERT_TRUE(ckpt.MaybeCut().ok());
+    ASSERT_TRUE(ckpt->MaybeCut().ok());
     pool.Drain();
-    ASSERT_TRUE(ckpt.Finish().ok());
-    ASSERT_LT(ckpt.cuts(), cuts);
+    ASSERT_TRUE(ckpt->Finish().ok());
+    ASSERT_LT(ckpt->cuts(), cuts);
     ShardedSwSamplerPool rerun = recover();
     EXPECT_EQ(ShardBlobs(rerun), ShardBlobs(pool));
   }
@@ -591,28 +596,26 @@ TEST(CrashRecoveryTest, AckedFeedsSinceLastCutRecoverFromDisk) {
     std::string reference;
     JournalWriter reference_writer(&reference, stream.opts.dim);
     AttachJournal(&twin, &reference_writer);
-    serve::PoolCheckpointer ckpt(&pool, dir.string(), /*every=*/512,
-                                 stream.opts.dim);
+    auto ckpt = serve::PoolCheckpointer::Open(&pool, dir.string(),
+                                              /*every=*/512, stream.opts.dim,
+                                              /*recovered=*/nullptr)
+                    .value();
+    EXPECT_TRUE(ReadJournalFile(dir) == reference);  // the header
     for (size_t offset = 0; offset < stream.points.size(); offset += 100) {
       const size_t len = std::min<size_t>(100, stream.points.size() - offset);
       FeedModeChunk(&pool, mode, stream, offset, len);
       FeedModeChunk(&twin, mode, stream, offset, len);
-      ASSERT_TRUE(ckpt.MaybeCut().ok());
-      EXPECT_EQ(ckpt.journal_bytes(), reference.size());
-      if (ckpt.cuts() == 0) {
-        // Before the first cut the journal stays in memory.
-        EXPECT_FALSE(fs::exists(dir / "journal.log"));
-      } else {
-        EXPECT_TRUE(ReadJournalFile(dir) == reference) << "offset " << offset;
-      }
+      ASSERT_TRUE(ckpt->MaybeCut().ok());
+      EXPECT_EQ(ckpt->journal_bytes(), reference.size());
+      EXPECT_TRUE(ReadJournalFile(dir) == reference) << "offset " << offset;
     }
-    ASSERT_EQ(ckpt.cuts(), 2u);  // at 512 and 1024 fed points
+    ASSERT_EQ(ckpt->cuts(), 3u);  // at open, 512 and 1024 fed points
     ASSERT_GT(pool.points_fed(), 1024u);
     twin.Drain();
 
     auto chain = serve::LoadCheckpointChain(dir.string());
     ASSERT_TRUE(chain.ok()) << chain.status().ToString();
-    EXPECT_EQ(chain.value().deltas, 1u);
+    EXPECT_EQ(chain.value().deltas, 2u);
     auto recovered_r =
         RecoverPool(chain.value().checkpoint, chain.value().journal);
     ASSERT_TRUE(recovered_r.ok()) << recovered_r.status().ToString();
@@ -626,7 +629,7 @@ TEST(CrashRecoveryTest, AckedFeedsSinceLastCutRecoverFromDisk) {
 
 TEST(CrashRecoveryTest, RecoveredCheckpointerAppendsAfterTornJournal) {
   // A crash mid-append leaves a torn record at the end of journal.log.
-  // The recovered checkpointer's first cut rewrites the file as the valid
+  // The recovered checkpointer's open cut rewrites the file as the valid
   // prefix, and its later appends follow that prefix, so a second
   // recovery replays every record fed after the first one.
   namespace fs = std::filesystem;
@@ -639,11 +642,13 @@ TEST(CrashRecoveryTest, RecoveredCheckpointerAppendsAfterTornJournal) {
   const Span<const Point> all(points);
   {
     auto pool = ShardedSwSamplerPool::Create(opts, 400, 2).value();
-    serve::PoolCheckpointer ckpt(&pool, dir.string(), /*every=*/512,
-                                 opts.dim);
+    auto ckpt = serve::PoolCheckpointer::Open(&pool, dir.string(),
+                                              /*every=*/512, opts.dim,
+                                              /*recovered=*/nullptr)
+                    .value();
     for (size_t offset = 0; offset < 1300; offset += 100) {
       pool.Feed(all.subspan(offset, 100));
-      ASSERT_TRUE(ckpt.MaybeCut().ok());
+      ASSERT_TRUE(ckpt->MaybeCut().ok());
     }
     pool.Drain();
   }
@@ -659,13 +664,14 @@ TEST(CrashRecoveryTest, RecoveredCheckpointerAppendsAfterTornJournal) {
   ASSERT_TRUE(live_r.ok()) << live_r.status().ToString();
   ShardedSwSamplerPool live = std::move(live_r).value();
   {
-    serve::PoolCheckpointer ckpt(&live, dir.string(), /*every=*/512,
-                                 opts.dim, std::move(chain).value());
-    ASSERT_TRUE(ckpt.Rebase().ok());
+    auto ckpt = serve::PoolCheckpointer::Open(&live, dir.string(),
+                                              /*every=*/512, opts.dim,
+                                              &chain.value())
+                    .value();
     EXPECT_TRUE(ReadJournalFile(dir) == valid_prefix);
     for (size_t offset = 1300; offset < 2000; offset += 100) {
       live.Feed(all.subspan(offset, 100));
-      ASSERT_TRUE(ckpt.MaybeCut().ok());
+      ASSERT_TRUE(ckpt->MaybeCut().ok());
     }
     live.Drain();
 
@@ -689,6 +695,111 @@ TEST(CrashRecoveryTest, RecoveredCheckpointerAppendsAfterTornJournal) {
   }
   ExpectLockstepDraws(&second, &live);
   fs::remove_all(dir);
+}
+
+/// A registry whose ckpt=1 tenants live under `root`.
+serve::TenantRegistry::Options RegistryOptions(
+    const std::filesystem::path& root) {
+  serve::TenantRegistry::Options options;
+  options.fleet_threads = 2;
+  options.checkpoint_root = root.string();
+  return options;
+}
+
+serve::CreateParams CheckpointedTenant(uint64_t every) {
+  serve::CreateParams params;
+  params.dim = 1;
+  params.alpha = 1.0;
+  params.window = 400;
+  params.shards = 2;
+  params.seed = 17;
+  params.expected_m = 1 << 14;
+  params.checkpoint = true;
+  params.checkpoint_every = every;
+  return params;
+}
+
+/// Feeds `points` to tenant `name` in acked 500-point FEEDs.
+void FeedTenant(serve::TenantRegistry* registry, const std::string& name,
+                const std::vector<Point>& points) {
+  for (size_t offset = 0; offset < points.size(); offset += 500) {
+    const size_t end = std::min(points.size(), offset + 500);
+    ASSERT_TRUE(registry
+                    ->Feed(name, std::vector<Point>(points.begin() + offset,
+                                                    points.begin() + end))
+                    .ok());
+  }
+}
+
+/// Recovers tenant `name` from what is on disk under `live_root` right
+/// now — what a kill -9 of the live server would leave — into a second
+/// registry, and checks it against the live tenant: same fed count,
+/// same sample lines.
+void ExpectDiskRecoversLiveTenant(serve::TenantRegistry* live,
+                                  const std::filesystem::path& live_root,
+                                  const std::string& name,
+                                  serve::CreateParams params) {
+  namespace fs = std::filesystem;
+  const fs::path root = live_root.string() + "_killed";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  fs::copy(live_root / name, root / name, fs::copy_options::recursive);
+  serve::TenantRegistry recovered(RegistryOptions(root));
+  params.recover = true;
+  const Status created = recovered.Create(name, params);
+  ASSERT_TRUE(created.ok()) << created.ToString();
+  const auto stats = recovered.StatsLines(name).value();
+  const auto live_stats = live->StatsLines(name).value();
+  const auto points_of = [](const std::string& line) {
+    const size_t begin = line.find(" points=");
+    return line.substr(begin, line.find(' ', begin + 1) - begin);
+  };
+  EXPECT_EQ(points_of(stats[0]), points_of(live_stats[0]));
+  EXPECT_EQ(recovered.Sample(name, 8, false, 0).value(),
+            live->Sample(name, 8, false, 0).value());
+  fs::remove_all(root);
+}
+
+TEST(CrashRecoveryTest, CheckpointedTenantRecoversBeforeItsFirstCadenceCut) {
+  // CREATE cuts the chain as it opens the directory, so acked feeds are
+  // on disk before the first `every` boundary: a tenant killed at 3000
+  // of every=4096 points recovers all 3000.
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("rl0_open_cut_" + std::to_string(static_cast<long>(::getpid())));
+  fs::remove_all(root);
+  {
+    serve::TenantRegistry registry(RegistryOptions(root));
+    const serve::CreateParams params = CheckpointedTenant(/*every=*/4096);
+    ASSERT_TRUE(registry.Create("x", params).ok());
+    FeedTenant(&registry, "x", Revisits(3000, 40, 201));
+    ExpectDiskRecoversLiveTenant(&registry, root, "x", params);
+  }
+  fs::remove_all(root);
+}
+
+TEST(CrashRecoveryTest, FreshCreateRetiresThePreviousOccupantsChain) {
+  // A CLOSEd tenant leaves its chain behind. Re-creating the name
+  // without recover=1 must start a new chain at once: a kill -9 after a
+  // few acked feeds of a different stream recovers those feeds, never
+  // the closed tenant's stream.
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("rl0_reoccupy_" + std::to_string(static_cast<long>(::getpid())));
+  fs::remove_all(root);
+  {
+    serve::TenantRegistry registry(RegistryOptions(root));
+    const serve::CreateParams params = CheckpointedTenant(/*every=*/0);
+    ASSERT_TRUE(registry.Create("x", params).ok());
+    FeedTenant(&registry, "x", Revisits(2000, 40, 202));
+    ASSERT_TRUE(registry.Close("x").ok());
+    ASSERT_TRUE(registry.Create("x", params).ok());
+    FeedTenant(&registry, "x", Revisits(300, 25, 203));
+    ExpectDiskRecoversLiveTenant(&registry, root, "x", params);
+  }
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the duplicate-suppression front-end (core/dup_filter.h):
-// the set-associative cache mechanics (store/lookup/evict/invalidate), the
+// the set-associative cache mechanics (store/lookup/evict), the
 // caller-side epoch discipline, the disabled and compiled-out
 // configurations, and the counter accounting surfaced through the
 // samplers. The decision-identity contract itself — filter-on equals
@@ -125,18 +125,6 @@ TEST(DupFilterTest, SetEvictsLeastRecentlyUsedWay) {
   EXPECT_TRUE(filter.Lookup(a, pa).found);   // survived: it was hot
   EXPECT_TRUE(filter.Lookup(c, pc).found);
   EXPECT_FALSE(filter.Lookup(b, pb).found);  // evicted as least-recent
-}
-
-TEST(DupFilterTest, InvalidateDropsEverything) {
-  if (!DupFilter::kCompiledIn) GTEST_SKIP() << "front-end compiled out";
-  DupFilter filter(/*dim=*/1, /*payload_len=*/1, /*enabled=*/true);
-  for (uint64_t k = 0; k < 64; ++k) {
-    filter.Store(k, 0, Point{static_cast<double>(k)})[0] = 0;
-  }
-  filter.Invalidate();
-  for (uint64_t k = 0; k < 64; ++k) {
-    EXPECT_FALSE(filter.Lookup(k, Point{static_cast<double>(k)}).found);
-  }
 }
 
 TEST(DupFilterTest, StatsAccountingSplitsHitsMissesBypassed) {

@@ -263,8 +263,8 @@ TEST(FuzzTest, SwRandomStreamsKeepWindowInvariants) {
 }
 
 TEST(FuzzTest, DupFilterStaysIdenticalThroughRefilterWaves) {
-  // The duplicate-suppression front-end against its invalidation events,
-  // IW half: tiny accept caps force frequent rate halvings, so Refilter
+  // The duplicate-suppression front-end against its invalidation events:
+  // tiny accept caps force frequent rate halvings, so Refilter
   // removal sweeps and Compact repacks keep bumping the rep-table
   // generation while exact repeats keep re-arming the cache. Every trial
   // runs filter-on and filter-off side by side; any stale replay (a
@@ -304,72 +304,6 @@ TEST(FuzzTest, DupFilterStaysIdenticalThroughRefilterWaves) {
     for (size_t i = 0; i < acc_on.size(); ++i) {
       ASSERT_EQ(acc_on[i].stream_index, acc_off[i].stream_index);
       ASSERT_EQ(acc_on[i].point, acc_off[i].point);
-    }
-  }
-}
-
-TEST(FuzzTest, SwDupFilterStaysIdenticalThroughExpiryAndSplitWaves) {
-  // SW half of the invalidation fuzz: random windows and tiny caps mix
-  // exact repeats with expiry waves (stamp jumps past whole windows,
-  // triggering group-table Clear/Compact), splits (PromoteInto moving
-  // groups between levels) and cascades — every event that must
-  // invalidate a recorded descent. Filter-on vs filter-off state is
-  // compared field-for-field across all levels at checkpoints.
-  Xoshiro256pp rng(43);
-  for (int trial = 0; trial < 15; ++trial) {
-    SamplerOptions opts;
-    opts.dim = 1;
-    opts.alpha = 1.0;
-    opts.seed = 4300 + static_cast<uint64_t>(trial);
-    opts.accept_cap = 4 + rng.NextBounded(16);
-    opts.expected_stream_length = 1 << 12;
-    opts.random_representative = (trial % 2) == 0;
-    SamplerOptions off_opts = opts;
-    off_opts.dup_filter = false;
-    const int64_t window = 8 + static_cast<int64_t>(rng.NextBounded(120));
-    auto on = RobustL0SamplerSW::Create(opts, window).value();
-    auto off = RobustL0SamplerSW::Create(off_opts, window).value();
-
-    const size_t groups = 5 + rng.NextBounded(40);
-    int64_t stamp = 0;
-    for (int i = 0; i < 400; ++i) {
-      Point p{10.0 * static_cast<double>(rng.NextBounded(groups))};
-      if (rng.NextDouble() >= 0.8) p[0] += 0.3 * (rng.NextDouble() - 0.5);
-      stamp += rng.NextBounded(50) == 0
-                   ? static_cast<int64_t>(rng.NextBounded(400))
-                   : static_cast<int64_t>(rng.NextBounded(3));
-      on.Insert(p, stamp);
-      off.Insert(p, stamp);
-      if (i % 61 != 60 && i != 399) continue;
-      ASSERT_EQ(on.error_count(), off.error_count()) << "trial " << trial;
-      for (size_t l = 0; l < on.num_levels(); ++l) {
-        std::vector<GroupRecord> a, b;
-        on.level(l).SnapshotGroups(&a);
-        off.level(l).SnapshotGroups(&b);
-        const auto by_id = [](const GroupRecord& x, const GroupRecord& y) {
-          return x.id < y.id;
-        };
-        std::sort(a.begin(), a.end(), by_id);
-        std::sort(b.begin(), b.end(), by_id);
-        ASSERT_EQ(a.size(), b.size())
-            << "trial " << trial << " level " << l << " step " << i;
-        for (size_t j = 0; j < a.size(); ++j) {
-          ASSERT_EQ(a[j].id, b[j].id);
-          ASSERT_EQ(a[j].rep_index, b[j].rep_index);
-          ASSERT_EQ(a[j].accepted, b[j].accepted);
-          ASSERT_EQ(a[j].latest_stamp, b[j].latest_stamp);
-          ASSERT_EQ(a[j].latest_index, b[j].latest_index);
-          ASSERT_EQ(a[j].rep, b[j].rep);
-          ASSERT_EQ(a[j].latest, b[j].latest);
-          ASSERT_EQ(a[j].reservoir.size(), b[j].reservoir.size());
-          for (size_t r = 0; r < a[j].reservoir.size(); ++r) {
-            ASSERT_EQ(a[j].reservoir[r].priority, b[j].reservoir[r].priority);
-            ASSERT_EQ(a[j].reservoir[r].stream_index,
-                      b[j].reservoir[r].stream_index);
-            ASSERT_EQ(a[j].reservoir[r].point, b[j].reservoir[r].point);
-          }
-        }
-      }
     }
   }
 }

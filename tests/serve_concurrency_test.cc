@@ -4,14 +4,17 @@
 // concurrent feeders to ONE tenant serialize cleanly; a slow SUBSCRIBE
 // consumer applies end-to-end backpressure with a provably bounded
 // queue instead of unbounded buffering; a vanished subscriber cannot
-// wedge its tenant; and shutdown with live, subscribed sessions is
-// orderly and deadlock-free. Run under TSan in CI.
+// wedge its tenant; a CREATE cannot reopen a checkpoint directory that
+// a CLOSE is still cutting into; and shutdown with live, subscribed
+// sessions is orderly and deadlock-free. Run under TSan in CI.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -164,6 +167,79 @@ TEST(ServeConcurrencyTest, ConcurrentCreatesOfOneNameAdmitExactlyOne) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(ok_count.load(), 1);
   EXPECT_EQ(registry.tenant_count(), 1u);
+}
+
+TEST(ServeConcurrencyTest, CreateOfAClosingNameWaitsForTheFinalCut) {
+  // Regression: Close used to free the name before its final cut, so a
+  // CREATE … recover=1 could recover the directory (and cut into it)
+  // while the closing tenant still had a feed in flight. Here a blocking
+  // digest sink holds the tenant lock with 300 points fed and 200 on
+  // disk; CLOSE waits behind it. The name stays taken until the final
+  // cut returns, and the tenant recovered afterwards holds all 300.
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("rl0_closing_" + std::to_string(static_cast<long>(::getpid())));
+  fs::remove_all(root);
+  TenantRegistry::Options options;
+  options.fleet_threads = 2;
+  options.checkpoint_root = root.string();
+  TenantRegistry registry(options);
+  CreateParams params;
+  params.dim = 2;
+  params.alpha = 0.8;
+  params.window = 1000;
+  params.checkpoint = true;
+  ASSERT_TRUE(registry.Create("x", params).ok());
+  const auto points = Clustered(300, 20, 77);
+  ASSERT_TRUE(registry
+                  .Feed("x", std::vector<Point>(points.begin(),
+                                                points.begin() + 200))
+                  .ok());
+  ASSERT_TRUE(registry.Flush("x").ok());  // the directory recovers 200
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> blocked_once{false};
+  const auto sub = ParseCommand("SUBSCRIBE x digest every=300");
+  ASSERT_TRUE(sub.ok());
+  ASSERT_TRUE(registry
+                  .Subscribe("x", sub.value(), /*owner=*/1,
+                             [&](const std::string&) {
+                               if (!blocked_once.exchange(true)) {
+                                 entered.set_value();
+                                 released.wait();
+                               }
+                               return true;
+                             })
+                  .ok());
+  std::thread feeder([&] {
+    EXPECT_TRUE(registry
+                    .Feed("x", std::vector<Point>(points.begin() + 200,
+                                                  points.end()))
+                    .ok());
+  });
+  entered.get_future().wait();
+  std::thread closer([&] { EXPECT_TRUE(registry.Close("x").ok()); });
+  // Close unregisters the tenant, then queues on its lock.
+  while (registry.tenant_count() != 0) std::this_thread::yield();
+
+  CreateParams recover = params;
+  recover.recover = true;
+  EXPECT_FALSE(registry.Create("x", recover).ok());
+
+  release.set_value();
+  feeder.join();
+  closer.join();
+  const Status created = registry.Create("x", recover);
+  ASSERT_TRUE(created.ok()) << created.ToString();
+  const auto stats = registry.StatsLines("x");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats.value()[0].find(" points=300 "), std::string::npos)
+      << stats.value()[0];
+  registry.CloseAll();
+  fs::remove_all(root);
 }
 
 TEST(ServeConcurrencyTest, ConcurrentFeedersToOneTenantSerialize) {

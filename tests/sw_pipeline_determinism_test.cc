@@ -37,7 +37,6 @@
 
 #include "rl0/baseline/exact_partition.h"
 #include "rl0/baseline/legacy_sw_sampler.h"
-#include "rl0/core/dup_filter.h"
 #include "rl0/core/sharded_pool.h"
 #include "rl0/core/snapshot.h"
 #include "rl0/core/worker_fleet.h"
@@ -540,107 +539,6 @@ TEST(SwPipelineDeterminismTest, LegacyDifferentialPinsTheRefactor) {
     EXPECT_EQ(flat.SpaceWords(), legacy.SpaceWords());
     ExpectSameLevelState(flat, legacy);
   }
-}
-
-TEST(SwPipelineDeterminismTest, DupFilterOnOffBitIdentical) {
-  // The duplicate-suppression front-end on the hierarchy: a recorded
-  // descent replay must take exactly the path the full probe would have
-  // — same touches, same reservoir coins, same Resets and expiry — so
-  // filter-on and filter-off runs stay bit-identical field-for-field
-  // across all levels, through splits, cascades and expiry waves.
-  Xoshiro256pp rng(SplitMix64(4242));
-  std::vector<Point> points;
-  std::vector<int64_t> stamps;
-  int64_t stamp = 0;
-  const size_t groups = 60;
-  for (size_t i = 0; i < 4000; ++i) {
-    const size_t g = rng.NextBounded(groups);
-    Point p{10.0 * static_cast<double>(g)};
-    // 85% exact byte repeats (the front-end's hit case), the rest fresh
-    // near-duplicates that miss and re-arm the cache.
-    if (rng.NextDouble() >= 0.85) p[0] += 0.3 * (rng.NextDouble() - 0.5);
-    points.push_back(p);
-    // Mostly dense stamps, occasionally a jump past whole windows (big
-    // expiry waves, which also trigger group-table compaction).
-    stamp += rng.NextBounded(60) == 0
-                 ? static_cast<int64_t>(rng.NextBounded(600))
-                 : static_cast<int64_t>(rng.NextBounded(3));
-    stamps.push_back(stamp);
-  }
-
-  SamplerOptions opts = BaseOptions(911);  // natural cap: splits run
-  opts.random_representative = true;       // coin-stream identity too
-  SamplerOptions off_opts = opts;
-  off_opts.dup_filter = false;
-  const int64_t window = 257;
-  auto on = RobustL0SamplerSW::Create(opts, window).value();
-  auto off = RobustL0SamplerSW::Create(off_opts, window).value();
-  for (size_t i = 0; i < points.size(); ++i) {
-    on.Insert(points[i], stamps[i]);
-    off.Insert(points[i], stamps[i]);
-    if (i % 499 == 0) ExpectSameLevelState(on, off);
-  }
-  ExpectSameLevelState(on, off);
-  EXPECT_EQ(on.error_count(), off.error_count());
-  EXPECT_EQ(on.stuck_split_count(), off.stuck_split_count());
-
-  // Identical external query RNGs must draw identical samples.
-  Xoshiro256pp rng_on(77), rng_off(77);
-  for (int q = 0; q < 10; ++q) {
-    const auto sample_on = on.SampleLatest(&rng_on);
-    const auto sample_off = off.SampleLatest(&rng_off);
-    ASSERT_EQ(sample_on.has_value(), sample_off.has_value());
-    if (sample_on.has_value()) {
-      EXPECT_EQ(sample_on->point, sample_off->point);
-      EXPECT_EQ(sample_on->stream_index, sample_off->stream_index);
-    }
-  }
-
-  // The filter is scratch state: snapshots must be byte-identical.
-  std::string bytes_on, bytes_off;
-  ASSERT_TRUE(SnapshotSamplerSW(on, &bytes_on).ok());
-  ASSERT_TRUE(SnapshotSamplerSW(off, &bytes_off).ok());
-  EXPECT_EQ(bytes_on, bytes_off);
-
-  if (DupFilter::kCompiledIn) {
-    EXPECT_GT(on.filter_stats().hits, 0u);
-  }
-  EXPECT_EQ(off.filter_stats().hits, 0u);
-}
-
-TEST(SwPipelineDeterminismTest, DupFilterOnOffBitIdenticalSharded) {
-  // Per-lane filters through the windowed pipeline: chunked feeding with
-  // different chunkings on the on/off pools, lane state compared
-  // field-for-field.
-  Xoshiro256pp rng(SplitMix64(4343));
-  std::vector<Point> points;
-  const size_t groups = 50;
-  for (size_t i = 0; i < 3000; ++i) {
-    const size_t g = rng.NextBounded(groups);
-    Point p{10.0 * static_cast<double>(g)};
-    if (rng.NextDouble() >= 0.8) p[0] += 0.3 * (rng.NextDouble() - 0.5);
-    points.push_back(p);
-  }
-  SamplerOptions opts = BaseOptions(912);
-  SamplerOptions off_opts = opts;
-  off_opts.dup_filter = false;
-  const int64_t window = 513;
-  const size_t lanes = 3;
-
-  auto pool_on = ShardedSwSamplerPool::Create(opts, window, lanes).value();
-  auto pool_off =
-      ShardedSwSamplerPool::Create(off_opts, window, lanes).value();
-  FeedRandomChunks(&pool_on, points, 661, /*max_chunk=*/97);
-  FeedRandomChunks(&pool_off, points, 662, /*max_chunk=*/41);
-
-  for (size_t s = 0; s < lanes; ++s) {
-    SCOPED_TRACE("lane " + std::to_string(s));
-    ExpectSameLevelState(pool_on.shard(s), pool_off.shard(s));
-  }
-  if (DupFilter::kCompiledIn) {
-    EXPECT_GT(pool_on.FilterStats().hits, 0u);
-  }
-  EXPECT_EQ(pool_off.FilterStats().hits, 0u);
 }
 
 TEST(SwPipelineDeterminismTest, FixedRateLevelZeroTracksExactWindowGroups) {

@@ -10,9 +10,10 @@
 # that suffix is stripped from the CLI side before diffing.
 #
 # A recover=1 CREATE that contradicts its checkpoint must answer ERR and
-# leave the server serving. A checkpointed tenant fed past its last cut
-# is then killed with SIGKILL; the restarted server's recovered samples
-# must match `rl0_cli sample` over the same prefix. It ends with a one-shard
+# leave the server serving. Two checkpointed tenants, one fed past its
+# last cut and one fed short of its first cadence cut, are then killed
+# with SIGKILL; the restarted server's recovered samples must match
+# `rl0_cli sample` over the same prefix. It ends with a one-shard
 # `rl0_cli sample --checkpoint-dir` run whose `rl0_cli recover` output
 # must match the run's own samples.
 #
@@ -140,29 +141,43 @@ grep -q "shutting down" "$TMP/server.log" || {
 
 # Kill -9 recovery: with every=4096, an 11000-point feed leaves 2808
 # acknowledged points past the last cut, held only by the appended
-# journal. A restarted server must recover all 11000 of them.
+# journal. Tenant k0 (every=100000) never reaches its first cadence cut,
+# so only the cut CREATE made and the journal hold its feed. A restarted
+# server must recover all 11000 points of both.
 awk '!/^#/ && n++ < 11000' "$TMP/seq.csv" > "$TMP/prefix.csv"
 start_server "$TMP/server-k9.log"
-client \
-  "CREATE k9 dim=5 alpha=0.5 window=2000 shards=4 seed=42 m=11000 ckpt=1 every=4096" \
-  > /dev/null
-client --feed-csv "$TMP/prefix.csv" --tenant k9 --chunk 1000
+for tenant_every in k9:4096 k0:100000; do
+  client \
+    "CREATE ${tenant_every%%:*} dim=5 alpha=0.5 window=2000 shards=4 seed=42 m=11000 ckpt=1 every=${tenant_every##*:}" \
+    > /dev/null
+  client --feed-csv "$TMP/prefix.csv" --tenant "${tenant_every%%:*}" \
+    --chunk 1000
+done
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 start_server "$TMP/server-k9-recovered.log"
-client \
-  "CREATE k9 dim=5 alpha=0.5 window=2000 shards=4 seed=42 m=11000 ckpt=1 recover=1" \
-  > /dev/null
-client "SAMPLE k9 q=3 seed=42" | sed -n 's/^ITEM //p' > "$TMP/k9.server"
 "$BUILD/rl0_cli" sample --alpha 0.5 --window 2000 --shards 4 --seed 42 \
   --queries 3 "$TMP/prefix.csv" 2> /dev/null > "$TMP/k9.cli"
-[[ -s "$TMP/k9.server" ]] || {
-  echo "smoke: kill -9 recovered tenant produced no samples" >&2; exit 1;
-}
-diff -u "$TMP/k9.cli" "$TMP/k9.server" || {
-  echo "smoke: kill -9 recovery diverged from rl0_cli" >&2; exit 1;
-}
+for tenant in k9 k0; do
+  client \
+    "CREATE $tenant dim=5 alpha=0.5 window=2000 shards=4 seed=42 m=11000 ckpt=1 recover=1" \
+    > "$TMP/$tenant.create" || {
+    echo "smoke: kill -9 recovery of $tenant refused:" >&2
+    cat "$TMP/$tenant.create" >&2
+    exit 1
+  }
+  client "SAMPLE $tenant q=3 seed=42" | sed -n 's/^ITEM //p' \
+    > "$TMP/$tenant.server"
+  [[ -s "$TMP/$tenant.server" ]] || {
+    echo "smoke: kill -9 recovered tenant $tenant produced no samples" >&2
+    exit 1
+  }
+  diff -u "$TMP/k9.cli" "$TMP/$tenant.server" || {
+    echo "smoke: kill -9 recovery of $tenant diverged from rl0_cli" >&2
+    exit 1
+  }
+done
 kill "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""

@@ -63,12 +63,13 @@ commands:
             Rows beyond the bound are a line-numbered parse error.
             With --checkpoint-dir D (needs --window), every fed chunk is
             journaled and a checkpoint chain is cut into D —
-            ckpt-000000.full, then incremental ckpt-NNNNNN.delta files
-            every N points (--checkpoint-every; default: one final cut
-            at end of stream). The first cut creates D/journal.log and
-            each later chunk is appended to it as it is fed, so from
-            then on a killed run loses no fed chunk. `recover` rebuilds
-            the pool from those files.
+            ckpt-000000.full before the first point, then incremental
+            ckpt-NNNNNN.delta files every N points (--checkpoint-every;
+            default: one final cut at end of stream). That first cut
+            replaces any chain already in D and creates D/journal.log;
+            each chunk is appended to it as it is fed, so a killed run
+            loses no fed chunk. `recover` rebuilds the pool from those
+            files.
   recover   --checkpoint-dir D [--queries Q] [--seed S]
             Rebuild a pool from D: fold the delta chain onto the full
             checkpoint, replay the journal's surviving suffix (torn
@@ -94,9 +95,11 @@ commands:
 Input '-' (or no file) reads CSV points from stdin: one point per line,
 coordinates separated by commas or whitespace; '#' starts a comment.
 
---no-filter disables the duplicate-suppression front-end (identical
-output either way — the front-end never changes decisions; the summary
-lines report its hit/miss/bypass counters).
+--no-filter disables the infinite-window duplicate-suppression
+front-end (identical output either way — the front-end never changes
+decisions; the `sample` and `count` summary lines report its
+hit/miss/bypass counters). Windowed sampling has no front-end, so the
+flag changes nothing there.
 )";
 
 struct Args {
@@ -289,8 +292,11 @@ int RunSampleWindow(const Args& args, const rl0::SamplerOptions& opts,
   rl0::ShardedSwSamplerPool pool = std::move(created).value();
   std::unique_ptr<PoolCheckpointer> ckpt;
   if (!args.checkpoint_dir.empty()) {
-    ckpt = std::make_unique<PoolCheckpointer>(&pool, args.checkpoint_dir,
-                                              args.checkpoint_every, opts.dim);
+    auto opened = PoolCheckpointer::Open(&pool, args.checkpoint_dir,
+                                         args.checkpoint_every, opts.dim,
+                                         /*recovered=*/nullptr);
+    if (!CheckpointOk(opened.status())) return 2;
+    ckpt = std::move(opened).value();
   }
   const rl0::Span<const Point> all_points(points);
   const size_t chunk = 4096;
@@ -351,8 +357,7 @@ int RunSampleWindow(const Args& args, const rl0::SamplerOptions& opts,
                static_cast<long long>(args.window),
                stamps != nullptr ? "time units" : "points",
                static_cast<long long>(pool.now()), pool.SpaceWords(),
-               (FilterNote(pool.FilterStats()) + LateNote(pool.late_stats()) +
-                CheckpointNote(ckpt.get()))
+               (LateNote(pool.late_stats()) + CheckpointNote(ckpt.get()))
                    .c_str());
   return 0;
 }
@@ -472,9 +477,9 @@ int RunRecover(const Args& args) {
                                                      sample->stream_index)
                             .c_str());
   }
-  // Replay rebuilt the duplicate filter and reorder stage too — report
-  // their counters just like the sample paths do, so a recovered run's
-  // summary is directly comparable to the original's.
+  // Replay rebuilt the reorder stage too — report its counters just like
+  // the sample path does, so a recovered run's summary is directly
+  // comparable to the original's.
   std::fprintf(stderr,
                "[recovered pool: %zu shards, %llu points, now=%lld, "
                "space=%zu words; chain=1 full + %zu deltas, journal=%zuB%s]\n",
@@ -482,8 +487,7 @@ int RunRecover(const Args& args) {
                static_cast<unsigned long long>(pool.points_processed()),
                static_cast<long long>(pool.now()), pool.SpaceWords(),
                chain.value().deltas, chain.value().journal.size(),
-               (FilterNote(pool.FilterStats()) + LateNote(pool.late_stats()))
-                   .c_str());
+               LateNote(pool.late_stats()).c_str());
   return 0;
 }
 
