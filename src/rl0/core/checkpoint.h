@@ -192,7 +192,9 @@ Status CheckpointPool(ShardedSwSamplerPool* pool, uint64_t journal_seq,
 /// checkpoint — from CheckpointPool or FoldPoolDelta): a fresh header
 /// plus one sampler delta per shard, each chained to the corresponding
 /// shard blob inside `base`. Same quiescence requirements as
-/// CheckpointPool.
+/// CheckpointPool. No front-end cuts deltas (serve/checkpointer.h writes
+/// full cuts only); this and FoldPoolDelta remain for the benchmarks
+/// that time a delta cut (rl0bench's layer pass, bench_snapshot).
 Status CheckpointPoolDelta(ShardedSwSamplerPool* pool,
                            const std::string& base, uint64_t journal_seq,
                            std::string* out);
@@ -203,7 +205,7 @@ Status CheckpointPoolDelta(ShardedSwSamplerPool* pool,
 Status FoldPoolDelta(const std::string& base, const std::string& delta,
                      std::string* out);
 
-/// Rebuilds a pool from a full checkpoint (fold deltas first) and a
+/// Rebuilds a pool from a full checkpoint (or a folded delta chain) and a
 /// journal byte stream: restores every shard, re-latches the stamp
 /// mode, re-arms the event watermark, lateness bound and reorder
 /// frontier, then replays

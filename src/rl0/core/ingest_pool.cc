@@ -23,6 +23,14 @@ IngestPool::Chunk IngestPool::Chunk::Owning(std::vector<Point> points,
   return chunk;
 }
 
+IngestPool::Chunk IngestPool::Chunk::Slice(size_t begin, size_t end) const {
+  Chunk slice;
+  slice.points = points.subspan(begin, end - begin);
+  slice.stamps = stamps.subspan(begin, end - begin);  // empty stays empty
+  slice.owner = owner;
+  return slice;
+}
+
 IngestPool::IngestPool(std::vector<Sink> sinks, const Options& options)
     : fleet_(options.fleet), fed_(options.index_base) {
   RL0_CHECK(!sinks.empty());

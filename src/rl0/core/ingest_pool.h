@@ -96,6 +96,10 @@ class IngestPool {
     /// A chunk that owns `points` and `stamps` (adopted, not copied).
     static Chunk Owning(std::vector<Point> points,
                         std::vector<int64_t> stamps = {});
+
+    /// Points [begin, end), with their stamps when present, sharing this
+    /// chunk's owner (no copy).
+    Chunk Slice(size_t begin, size_t end) const;
   };
 
   /// Consumes one chunk on a lane's worker thread: `points[i]` has global

@@ -260,6 +260,15 @@ class ShardedSwSamplerPool final : public LanePool<RobustL0SamplerSW> {
     return static_cast<StampMode>(mode_->load(std::memory_order_relaxed));
   }
 
+  /// The one point-feed path under every feed above except
+  /// FeedStampedLate: latches `mode` (kSequence or kTime), then enqueues
+  /// `chunk` as-is — no copy; the pipeline's tap journals it. A kTime
+  /// chunk carries one stamp per point, a kSequence chunk none
+  /// (checked). An owning chunk (IngestPool::Chunk::Owning, or a Slice
+  /// of one) keeps its arrays alive itself; a borrowed one must stay
+  /// valid until the next Drain() returns.
+  void FeedChunk(StampMode mode, IngestPool::Chunk chunk);
+
   /// The stamp of the most recently fed point — the global position of
   /// the stream's last point in sequence mode, the last explicit stamp in
   /// time mode; -1 before any feeding.
@@ -363,9 +372,6 @@ class ShardedSwSamplerPool final : public LanePool<RobustL0SamplerSW> {
   /// `now_of(shard)` unified to the global deepest level, then dedupes.
   template <typename NowOf>
   std::vector<SampleItem> BuildUnifiedPool(NowOf now_of, Xoshiro256pp* rng);
-  /// The one point-feed path under every public feed: latches `mode`,
-  /// then enqueues the chunk (the pipeline's tap journals it).
-  void FeedChunk(StampMode mode, IngestPool::Chunk chunk);
   /// Feed/FeedBorrowed/ConsumeParallel: a sequence chunk.
   void FeedSequence(IngestPool::Chunk chunk) override;
 

@@ -81,20 +81,6 @@ Result<LoadedChain> LoadCheckpointChain(const std::string& dir) {
   auto base = ReadFileBytes(CheckpointFileName(dir, 0, /*full=*/true));
   if (!base.ok()) return base.status();
   out.checkpoint = std::move(base).value();
-  for (size_t i = 1;; ++i) {
-    auto delta = ReadFileBytes(CheckpointFileName(dir, i, /*full=*/false));
-    if (!delta.ok()) break;  // end of the chain
-    std::string folded;
-    const Status status =
-        FoldPoolDelta(out.checkpoint, delta.value(), &folded);
-    if (!status.ok()) {
-      return Status::Internal("folding " +
-                              CheckpointFileName(dir, i, false) + ": " +
-                              status.ToString());
-    }
-    out.checkpoint = std::move(folded);
-    ++out.deltas;
-  }
   auto journal = ReadFileBytes(JournalName(dir));
   if (journal.ok()) {
     // Keep only the valid prefix: a torn tail must not be re-appended
@@ -205,26 +191,15 @@ Status PoolCheckpointer::FlushJournal() {
 
 Status PoolCheckpointer::Cut() {
   pool_->Drain();
-  const uint64_t seq = writer_.next_seq();
   std::string blob;
-  const bool full = chain_.empty();
-  Status status = full ? CheckpointPool(pool_, seq, &blob)
-                       : CheckpointPoolDelta(pool_, chain_, seq, &blob);
-  if (status.ok() && !full) {
-    std::string folded;
-    status = FoldPoolDelta(chain_, blob, &folded);
-    if (status.ok()) chain_ = std::move(folded);
-  } else if (status.ok()) {
-    chain_ = blob;
-  }
+  const Status status = CheckpointPool(pool_, writer_.next_seq(), &blob);
   if (!status.ok()) return status;
-  // Every file lands under its final name by rename, so a crash mid-write
+  // The file lands under its final name by rename, so a crash mid-write
   // leaves only a *.tmp file that LoadCheckpointChain never reads.
-  const std::string name = CheckpointFileName(dir_, cuts_, full);
+  const std::string name = CheckpointFileName(dir_, 0, /*full=*/true);
   const bool written = WriteTemp(name, blob);
-  if (written && full) {
-    // Deltas already on disk chain against an older base (a recovered
-    // pool's pre-crash epoch, or a previous occupant of this directory).
+  if (written) {
+    // Delta files that an older build cut chain against an older base.
     // Remove them after the new base is safely in its temp file and
     // before it replaces ckpt-000000.full: a crash in between leaves the
     // old base and the whole journal, which still recover exactly, and
@@ -240,8 +215,8 @@ Status PoolCheckpointer::Cut() {
     return Status::Internal("cannot write checkpoint files in '" + dir_ +
                             "'");
   }
-  status = FlushJournal();
-  if (!status.ok()) return status;
+  const Status flushed = FlushJournal();
+  if (!flushed.ok()) return flushed;
   ++cuts_;
   return Status::OK();
 }

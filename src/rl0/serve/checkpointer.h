@@ -1,39 +1,46 @@
 // Durability plumbing shared by rl0_cli and the rl0_serve registry.
 //
-// Wraps core/checkpoint.h's journal + incremental-checkpoint primitives
-// into the on-disk layout both front-ends speak:
+// Wraps core/checkpoint.h's journal and full pool checkpoint into the
+// on-disk layout both front-ends speak:
 //
-//   <dir>/ckpt-000000.full     the base full checkpoint
-//   <dir>/ckpt-NNNNNN.delta    incremental cuts, NNNNNN = 1, 2, ...
+//   <dir>/ckpt-000000.full     the latest cut: one full pool checkpoint
 //   <dir>/journal.log          the fed-chunk journal (append-only)
 //
-// PoolCheckpointer journals every fed chunk and cuts the chain at a
-// configurable point cadence; LoadCheckpointChain folds a directory back
-// into {full checkpoint, journal valid-prefix} for RecoverPool. In the
-// server each tenant created with ckpt=1 owns one PoolCheckpointer
-// rooted at <checkpoint-root>/<tenant>.
+// PoolCheckpointer journals every fed chunk and, at a configurable point
+// cadence, cuts: it rewrites ckpt-000000.full with a full checkpoint of
+// the pool at the journal's current sequence number. LoadCheckpointChain
+// reads a directory back into {full checkpoint, journal valid-prefix}
+// for RecoverPool, which replays the records at or above the
+// checkpoint's sequence number. In the server each tenant created with
+// ckpt=1 owns one PoolCheckpointer rooted at <checkpoint-root>/<tenant>.
 //
-// Open cut: PoolCheckpointer::Open cuts the chain before it returns,
-// so a directory recovers its tenant from the moment the tenant exists.
-// A fresh open first removes the previous occupant's ckpt-000000.full and
+// Full-only cuts: every cut writes the whole pool (no delta files). A
+// delta cost more to cut than a full (it was then folded onto an
+// in-memory base so the next delta had one) and was nearly as large
+// under churn. Delta files an older build left in a directory
+// (ckpt-NNNNNN.delta) are never read; each cut removes them before its
+// rename.
+//
+// Open cut: PoolCheckpointer::Open cuts before it returns, so a
+// directory recovers its tenant from the moment the tenant exists. A
+// fresh open first removes the previous occupant's ckpt-000000.full and
 // then its journal.log — in that order, so a crash at any point leaves
 // either no base (nothing recovers) or the new one, never the old base
-// with records to replay into the new tenant. A recovered open
-// cuts a new ckpt-000000.full at the continuing journal sequence: a
-// delta can only be cut against the dirty-tracking epoch a *full* cut
-// marked on the live shard tables (core/checkpoint.h), and a recovered
-// pool has none. Either full cut deletes the stale delta files.
+// with records to replay into the new tenant. A recovered open cuts a
+// new ckpt-000000.full at the continuing journal sequence.
 //
 // Journal file: the open cut (re)creates journal.log as the whole
 // journal so far — just the header for a fresh tenant, the recovered
 // valid prefix for a recovered one (which drops a torn tail). From then
 // on the file only grows: MaybeCut() and every later cut append the
 // records staged since the last append, so once MaybeCut() returns,
-// every fed chunk is in journal.log.
+// every fed chunk is in journal.log. (Nothing rotates it yet: recovery
+// skips, but still reads, the records below the checkpoint's sequence
+// number.)
 //
-// Atomic files: every checkpoint file, and journal.log at its creation,
+// Atomic files: the checkpoint file, and journal.log at its creation,
 // is written to `<name>.tmp` and renamed over `<name>`, so a process
-// killed mid-cut leaves the previous chain intact plus a *.tmp file that
+// killed mid-cut leaves the previous cut intact plus a *.tmp file that
 // LoadCheckpointChain ignores. A process killed mid-append leaves a torn
 // journal record, which ReadJournal's valid prefix ends before. Syncing
 // to stable storage (fsync) is out of scope: a rename or an append
@@ -64,14 +71,14 @@ bool WriteFileBytes(const std::string& path, const std::string& bytes);
 /// Reads a whole file as bytes.
 Result<std::string> ReadFileBytes(const std::string& path);
 
-/// "<dir>/ckpt-NNNNNN.full" / ".delta".
+/// "<dir>/ckpt-NNNNNN.full" / ".delta" (cuts write only index 0, full;
+/// the delta names are what an older build's chain left behind).
 std::string CheckpointFileName(const std::string& dir, size_t index,
                                bool full);
 
-/// A checkpoint directory folded back to recovery inputs.
+/// A checkpoint directory read back as recovery inputs.
 struct LoadedChain {
-  /// ckpt-000000.full with every on-disk delta folded in — feed to
-  /// RecoverPool.
+  /// ckpt-000000.full — feed to RecoverPool.
   std::string checkpoint;
   /// The journal's valid prefix (already truncated at the first torn
   /// record; empty when no journal was flushed).
@@ -79,20 +86,19 @@ struct LoadedChain {
   /// Records in `journal` — the next_seq a continuing JournalWriter
   /// must start from.
   uint64_t journal_records = 0;
-  /// Delta files folded (introspection / status lines).
-  size_t deltas = 0;
 };
 
-/// Loads and folds <dir>'s chain. Fails when ckpt-000000.full is
-/// missing/corrupt or a delta refuses to fold; a missing journal is not
-/// an error (recovery from the last cut alone is exact).
+/// Loads <dir>'s checkpoint and journal. Fails when ckpt-000000.full is
+/// missing or the journal is unreadable; a missing journal is not an
+/// error (recovery from the last cut alone is exact). Corruption in the
+/// checkpoint itself surfaces in RecoverPool.
 Result<LoadedChain> LoadCheckpointChain(const std::string& dir);
 
-/// Journals every chunk fed to `pool` and cuts the checkpoint chain
-/// under `dir`: a full cut at Open, then deltas every `every` points
-/// (plus explicit Finish() cuts). MaybeCut() appends the chunks fed since
-/// the previous call to journal.log, so a process crash loses no chunk
-/// fed before a MaybeCut() that returned OK.
+/// Journals every chunk fed to `pool` and cuts under `dir`: a full
+/// checkpoint at Open, then one every `every` points (plus explicit
+/// Finish() cuts), each replacing ckpt-000000.full. MaybeCut() appends
+/// the chunks fed since the previous call to journal.log, so a process
+/// crash loses no chunk fed before a MaybeCut() that returned OK.
 class PoolCheckpointer {
  public:
   /// Attaches the journal tap to `pool` and makes the open cut (see file
@@ -139,7 +145,6 @@ class PoolCheckpointer {
   uint64_t every_;
   std::string staged_;  // declared before writer_ (writer appends here)
   JournalWriter writer_;
-  std::string chain_;  // folded full checkpoint the next delta chains on
   uint64_t next_cut_;
   size_t cuts_ = 0;
   int journal_fd_ = -1;  // journal.log, open for append after the open cut

@@ -20,38 +20,54 @@ LineDecoder::LineDecoder(size_t max_line_bytes)
     : max_line_bytes_(max_line_bytes < 16 ? 16 : max_line_bytes) {}
 
 void LineDecoder::Append(const char* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const char c = data[i];
+  const char* const end = data + n;
+  while (data != end) {
+    const char* const newline = static_cast<const char*>(
+        std::memchr(data, '\n', static_cast<size_t>(end - data)));
+    const char* const stop = newline != nullptr ? newline : end;
     if (discarding_) {
       // Inside an oversized line: drop bytes through its newline. The
       // notice was queued when the limit was crossed, so memory stays
       // bounded even if the newline never comes.
-      if (c == '\n') discarding_ = false;
+      if (newline == nullptr) return;
+      discarding_ = false;
+      data = newline + 1;
       continue;
     }
-    if (c == '\n') {
-      if (!partial_.empty() && partial_.back() == '\r') {
-        partial_.pop_back();  // tolerate CRLF
-      }
-      events_.emplace_back(false, std::move(partial_));
-      partial_.clear();
-      continue;
-    }
-    partial_.push_back(c);
-    if (partial_.size() > max_line_bytes_) {
-      partial_.clear();
-      events_.emplace_back(true, std::string());
+    const size_t span = static_cast<size_t>(stop - data);
+    if (buffered_bytes() + span > max_line_bytes_) {
+      // Some byte before the newline crosses the limit ('\r' included:
+      // CRLF is trimmed only from a complete line). Queue the notice
+      // now and discard the rest of the line.
+      buf_.resize(partial_begin_);
+      events_.push_back({true, 0, 0});
       discarding_ = true;
+      data = stop;
+      continue;
     }
+    buf_.append(data, span);
+    if (newline == nullptr) return;
+    size_t size = buf_.size() - partial_begin_;
+    if (size > 0 && buf_.back() == '\r') --size;  // tolerate CRLF
+    events_.push_back({false, partial_begin_, size});
+    partial_begin_ = buf_.size();
+    data = newline + 1;
   }
 }
 
 LineDecoder::Event LineDecoder::Next(std::string* line) {
-  if (events_.empty()) return Event::kNone;
-  const bool oversized = events_.front().first;
-  if (!oversized) *line = std::move(events_.front().second);
-  events_.pop_front();
-  return oversized ? Event::kOversized : Event::kLine;
+  if (next_event_ == events_.size()) return Event::kNone;
+  const Pending event = events_[next_event_++];
+  if (!event.oversized) line->assign(buf_, event.begin, event.size);
+  if (next_event_ == events_.size()) {
+    // Every decoded line is handed out: keep only the partial line, at
+    // the front of a buffer that keeps its capacity.
+    buf_.erase(0, partial_begin_);
+    partial_begin_ = 0;
+    events_.clear();
+    next_event_ = 0;
+  }
+  return event.oversized ? Event::kOversized : Event::kLine;
 }
 
 bool ValidTenantName(const std::string& name) {

@@ -45,7 +45,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,7 +68,12 @@ constexpr uint64_t kQuerySeedSalt = 0x5175657279ULL;  // "Query"
 /// Append), and oversized lines (beyond `max_line_bytes` the line's
 /// bytes are discarded through its terminating newline and ONE
 /// kOversized event is reported, so the connection can answer with a
-/// parseable error and stay in sync).
+/// parseable error and stay in sync). A trailing '\r' counts toward
+/// `max_line_bytes`; it is trimmed (CRLF) only from a complete line.
+///
+/// Append finds line ends with memchr and copies whole spans into one
+/// buffer whose capacity persists across lines, so a long FEED line
+/// costs a bulk copy in and one out (Next), not a per-byte append.
 class LineDecoder {
  public:
   explicit LineDecoder(size_t max_line_bytes);
@@ -85,20 +89,34 @@ class LineDecoder {
 
   /// Pulls the next event, in wire order (an oversized notice is
   /// sequenced exactly where the discarded line sat between its
-  /// neighbours). Call until kNone after every Append.
+  /// neighbours). Call until kNone after every Append. A kLine assigns
+  /// into *line, so a caller that reuses one string keeps its capacity.
   Event Next(std::string* line);
 
   /// Bytes of the unterminated partial line currently buffered (bounded
   /// by max_line_bytes regardless of what the peer sends).
-  size_t buffered_bytes() const { return partial_.size(); }
+  size_t buffered_bytes() const { return buf_.size() - partial_begin_; }
 
  private:
-  std::string partial_;
+  /// A decoded event: an oversize notice, or the line
+  /// buf_[begin, begin + size).
+  struct Pending {
+    bool oversized;
+    size_t begin;
+    size_t size;
+  };
+
+  /// The bytes of the lines Next has not handed out yet, followed by the
+  /// partial line from partial_begin_ on. Emptied (capacity kept) once
+  /// Next hands out the last pending event.
+  std::string buf_;
+  size_t partial_begin_ = 0;
   size_t max_line_bytes_;
   /// Inside an oversized line: discard through the next '\n'.
   bool discarding_ = false;
-  /// Completed events in wire order: {oversized, line}.
-  std::deque<std::pair<bool, std::string>> events_;
+  /// Decoded events in wire order; events_[next_event_] is the next one.
+  std::vector<Pending> events_;
+  size_t next_event_ = 0;
 };
 
 /// What a parsed command asks for.
@@ -145,7 +163,8 @@ struct CreateParams {
   /// Checkpoint this tenant under <checkpoint-root>/<tenant> (requires
   /// the server to be started with a checkpoint root).
   bool checkpoint = false;
-  /// Delta-cut cadence in points (0 = only the final cut on CLOSE).
+  /// Checkpoint cadence: a full cut every N fed points (0 = cuts only
+  /// at CREATE, FLUSH and CLOSE).
   uint64_t checkpoint_every = 0;
   /// Recover the tenant from its checkpoint directory instead of
   /// starting empty (implies checkpoint).

@@ -197,22 +197,22 @@ int64_t TenantRegistry::NextTrigger(const Tenant* t) {
   return next;
 }
 
-void TenantRegistry::FeedSlice(Tenant* t, const std::vector<Point>& points,
-                               const std::vector<int64_t>& stamps,
+void TenantRegistry::FeedSlice(Tenant* t, const IngestPool::Chunk& batch,
                                size_t begin, size_t end) {
   if (begin >= end) return;
-  const Span<const Point> p(points.data() + begin, end - begin);
+  IngestPool::Chunk slice = batch.Slice(begin, end);
   switch (t->params.mode) {
     case TenantMode::kSequence:
-      t->pool->Feed(p);
+      t->pool->FeedChunk(ShardedSwSamplerPool::StampMode::kSequence,
+                         std::move(slice));
       break;
     case TenantMode::kTime:
-      t->pool->FeedStamped(
-          p, Span<const int64_t>(stamps.data() + begin, end - begin));
+      t->pool->FeedChunk(ShardedSwSamplerPool::StampMode::kTime,
+                         std::move(slice));
       break;
     case TenantMode::kLate:
-      t->pool->FeedStampedLate(
-          p, Span<const int64_t>(stamps.data() + begin, end - begin));
+      // The reorder stage copies what it buffers.
+      t->pool->FeedStampedLate(slice.points, slice.stamps);
       break;
   }
 }
@@ -314,19 +314,23 @@ Status TenantRegistry::Feed(const std::string& name,
                                    "'");
   }
   for (const Point& p : points) t->cvm.AddPoint(p);
+  // The lanes read the parsed points in place: every slice below shares
+  // this one owner.
+  const IngestPool::Chunk batch = IngestPool::Chunk::Owning(std::move(points));
+  const size_t size = batch.points.size();
   // Feed in slices that end exactly at trigger boundaries, so each
   // standing query evaluates the window at its crossing point. Position
   // stamps in sequence mode are 0-based, so the trigger at count C
   // evaluates at now = C-1.
   size_t offset = 0;
-  while (offset < points.size()) {
+  while (offset < size) {
     const int64_t fed = static_cast<int64_t>(t->pool->points_fed());
-    const int64_t limit = fed + static_cast<int64_t>(points.size() - offset);
+    const int64_t limit = fed + static_cast<int64_t>(size - offset);
     int64_t boundary = limit;
     const int64_t next = NextTrigger(t);
     if (next > fed && next < limit) boundary = next;
     const size_t len = static_cast<size_t>(boundary - fed);
-    FeedSlice(t, points, {}, offset, offset + len);
+    FeedSlice(t, batch, offset, offset + len);
     offset += len;
     FireDue(t, boundary);
   }
@@ -369,34 +373,38 @@ Status TenantRegistry::FeedStamped(const std::string& name,
     }
   }
   for (const Point& p : points) t->cvm.AddPoint(p);
+  // One owner for the parsed points and stamps, shared by every slice.
+  const IngestPool::Chunk batch =
+      IngestPool::Chunk::Owning(std::move(points), std::move(stamps));
+  const size_t size = batch.points.size();
 
   if (t->params.mode == TenantMode::kLate) {
     // Out-of-order path: the reorder stage owns ordering, so the batch
     // feeds whole and triggers follow the *release frontier*, which is
     // the only clock that never regresses.
-    FeedSlice(t, points, stamps, 0, points.size());
+    FeedSlice(t, batch, 0, size);
     FireDue(t, t->pool->now());
   } else {
     size_t offset = 0;
-    while (offset < points.size()) {
+    while (offset < size) {
       const int64_t next = NextTrigger(t);
-      size_t end = points.size();
+      size_t end = size;
       if (next != std::numeric_limits<int64_t>::max()) {
         // Fire at the first point whose stamp reaches the trigger:
         // include it, evaluate at its stamp.
-        for (size_t i = offset; i < points.size(); ++i) {
-          if (stamps[i] >= next) {
+        for (size_t i = offset; i < size; ++i) {
+          if (batch.stamps[i] >= next) {
             end = i + 1;
             break;
           }
         }
       }
-      FeedSlice(t, points, stamps, offset, end);
+      FeedSlice(t, batch, offset, end);
       offset = end;
-      FireDue(t, stamps[end - 1]);
+      FireDue(t, batch.stamps[end - 1]);
     }
   }
-  t->last_stamp = stamps.back();
+  t->last_stamp = batch.stamps[size - 1];
   t->last_stamp_set = true;
   if (t->ckpt != nullptr) return t->ckpt->MaybeCut();
   return Status::OK();

@@ -38,9 +38,9 @@
 // command stalls, and with it the feeding client's socket.
 //
 // Durability: tenants created with ckpt=1 own a PoolCheckpointer under
-// <checkpoint-root>/<tenant>, which cuts the chain as CREATE opens it;
-// recover=1 restores from that directory (journal replay included)
-// before that cut. The CREATE line must agree with what the checkpoint
+// <checkpoint-root>/<tenant>, which cuts a full checkpoint as CREATE
+// opens it; recover=1 restores from that directory (journal replay
+// included) before that cut. The CREATE line must agree with what the checkpoint
 // records — dim, alpha, metric, seed, m, k, reservoir, window, shards,
 // the latched sequence-vs-stamped mode and, for mode=late, the lateness
 // bound — or the CREATE fails and no tenant is registered (every= and
@@ -211,10 +211,10 @@ class TenantRegistry {
   /// tenant and registers it. The caller holds `name` in creating_.
   Status BuildAndRegister(const std::string& name,
                           const CreateParams& params);
-  /// Feeds [begin, end) of `points` (+stamps) through the right pool
-  /// path for the tenant's mode.
-  void FeedSlice(Tenant* t, const std::vector<Point>& points,
-                 const std::vector<int64_t>& stamps, size_t begin,
+  /// Feeds points [begin, end) of `batch` (+stamps) through the right
+  /// pool path for the tenant's mode: a Slice sharing the batch's owner,
+  /// so the lanes read the parsed points without a copy.
+  void FeedSlice(Tenant* t, const IngestPool::Chunk& batch, size_t begin,
                  size_t end) RL0_REQUIRES(t->mu);
   /// Fires every subscription whose next_fire ≤ `position` (a count in
   /// sequence mode, a stamp otherwise), advancing each past it. Call
@@ -239,7 +239,7 @@ class TenantRegistry {
       RL0_GUARDED_BY(mu_);
   /// Names with a Create or a Close in flight. Reserving here keeps a
   /// CREATE from opening a checkpoint directory (the open cut rewrites
-  /// the chain) while another CREATE or the final cut of a CLOSE of the
+  /// its files) while another CREATE or the final cut of a CLOSE of the
   /// same name still writes there.
   std::set<std::string> creating_ RL0_GUARDED_BY(mu_);
 };

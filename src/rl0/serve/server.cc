@@ -255,6 +255,9 @@ void Server::WriterLoop(const std::shared_ptr<Session>& session) {
 void Server::ReaderLoop(const std::shared_ptr<Session>& session) {
   LineDecoder decoder(options_.max_line_bytes);
   char buf[4096];
+  // One line string for the session: Next assigns into it, so a long
+  // FEED line reuses its capacity instead of allocating per line.
+  std::string line;
   bool open = true;
   while (open && !shutdown_.load()) {
     pollfd pfd = {session->fd, POLLIN, 0};
@@ -270,7 +273,6 @@ void Server::ReaderLoop(const std::shared_ptr<Session>& session) {
       break;
     }
     decoder.Append(buf, static_cast<size_t>(n));
-    std::string line;
     for (;;) {
       const LineDecoder::Event event = decoder.Next(&line);
       if (event == LineDecoder::Event::kNone) break;

@@ -423,8 +423,9 @@ TEST(CrashRecoveryTest, CheckpointFilesAreAtomicAndTempDebrisIsIgnored) {
   // serve::PoolCheckpointer writes every file as <name>.tmp and renames
   // it into place: a completed run leaves no temp file, and a process
   // killed mid-write leaves only a truncated temp file that
-  // LoadCheckpointChain never reads — recovery is unchanged by it. A
-  // full cut also removes the deltas of the chain it replaces.
+  // LoadCheckpointChain never reads — recovery is unchanged by it. Every
+  // cut rewrites the one full checkpoint, and removes the delta files an
+  // older build's chain left behind.
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() /
@@ -453,7 +454,7 @@ TEST(CrashRecoveryTest, CheckpointFilesAreAtomicAndTempDebrisIsIgnored) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
     ++files;
   }
-  EXPECT_EQ(files, cuts + 1);  // the chain plus journal.log
+  EXPECT_EQ(files, 2u);  // ckpt-000000.full plus journal.log
 
   const auto recover = [&dir] {
     auto chain = serve::LoadCheckpointChain(dir.string());
@@ -465,14 +466,14 @@ TEST(CrashRecoveryTest, CheckpointFilesAreAtomicAndTempDebrisIsIgnored) {
   ShardedSwSamplerPool clean = recover();
   EXPECT_EQ(clean.points_processed(), points.size());
 
-  // Crash debris of the next cut: a torn delta and a torn journal, both
-  // still under their temp names.
-  const std::string torn_delta =
-      serve::CheckpointFileName(dir.string(), cuts, /*full=*/false) + ".tmp";
+  // Crash debris of the next cut: a torn checkpoint and a torn journal,
+  // both still under their temp names.
+  const std::string torn_checkpoint =
+      serve::CheckpointFileName(dir.string(), 0, /*full=*/true) + ".tmp";
   {
     auto chain = serve::LoadCheckpointChain(dir.string());
     ASSERT_TRUE(chain.ok());
-    std::ofstream(torn_delta, std::ios::binary)
+    std::ofstream(torn_checkpoint, std::ios::binary)
         << chain.value().checkpoint.substr(0, 37);
     std::ofstream((dir / "journal.log.tmp").string(), std::ios::binary)
         << chain.value().journal.substr(0, 11);
@@ -481,9 +482,12 @@ TEST(CrashRecoveryTest, CheckpointFilesAreAtomicAndTempDebrisIsIgnored) {
   EXPECT_EQ(ShardBlobs(with_debris), ShardBlobs(clean));
   ExpectLockstepDraws(&with_debris, &clean);
 
-  // A shorter run reusing the directory: its open cut must retire the
-  // longer chain's deltas, or recovery would try to fold them onto the
-  // new base.
+  // A shorter run reusing the directory, which also holds a delta file
+  // of an older build's chain: its open cut replaces the checkpoint and
+  // removes the delta.
+  const std::string stale_delta =
+      serve::CheckpointFileName(dir.string(), 1, /*full=*/false);
+  std::ofstream(stale_delta, std::ios::binary) << "stale";
   {
     auto pool = ShardedSwSamplerPool::Create(PoolOptions(8), 400, 2).value();
     auto ckpt = serve::PoolCheckpointer::Open(&pool, dir.string(),
@@ -495,6 +499,7 @@ TEST(CrashRecoveryTest, CheckpointFilesAreAtomicAndTempDebrisIsIgnored) {
     pool.Drain();
     ASSERT_TRUE(ckpt->Finish().ok());
     ASSERT_LT(ckpt->cuts(), cuts);
+    EXPECT_FALSE(fs::exists(stale_delta));
     ShardedSwSamplerPool rerun = recover();
     EXPECT_EQ(ShardBlobs(rerun), ShardBlobs(pool));
   }
@@ -615,7 +620,6 @@ TEST(CrashRecoveryTest, AckedFeedsSinceLastCutRecoverFromDisk) {
 
     auto chain = serve::LoadCheckpointChain(dir.string());
     ASSERT_TRUE(chain.ok()) << chain.status().ToString();
-    EXPECT_EQ(chain.value().deltas, 2u);
     auto recovered_r =
         RecoverPool(chain.value().checkpoint, chain.value().journal);
     ASSERT_TRUE(recovered_r.ok()) << recovered_r.status().ToString();

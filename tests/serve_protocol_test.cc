@@ -96,6 +96,145 @@ TEST(LineDecoderTest, OversizedRunNeverBuffersPastTheCap) {
   EXPECT_EQ(got[1].second, "PING");
 }
 
+/// The byte-at-a-time decoder that LineDecoder's bulk scan replaced,
+/// kept verbatim as the reference for its event stream.
+class ByteAtATimeDecoder {
+ public:
+  explicit ByteAtATimeDecoder(size_t max_line_bytes)
+      : max_line_bytes_(max_line_bytes < 16 ? 16 : max_line_bytes) {}
+
+  void Append(const char* data, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const char c = data[i];
+      if (discarding_) {
+        if (c == '\n') discarding_ = false;
+        continue;
+      }
+      if (c == '\n') {
+        if (!partial_.empty() && partial_.back() == '\r') {
+          partial_.pop_back();
+        }
+        events_.emplace_back(false, std::move(partial_));
+        partial_.clear();
+        continue;
+      }
+      partial_.push_back(c);
+      if (partial_.size() > max_line_bytes_) {
+        partial_.clear();
+        events_.emplace_back(true, std::string());
+        discarding_ = true;
+      }
+    }
+  }
+
+  std::vector<std::pair<bool, std::string>> Drain() {
+    std::vector<std::pair<bool, std::string>> out;
+    out.swap(events_);
+    return out;
+  }
+
+  size_t buffered_bytes() const { return partial_.size(); }
+
+ private:
+  std::string partial_;
+  size_t max_line_bytes_;
+  bool discarding_ = false;
+  std::vector<std::pair<bool, std::string>> events_;
+};
+
+/// As DrainDecoder, with an empty string for every oversize notice (the
+/// reference's shape).
+std::vector<std::pair<bool, std::string>> DrainEvents(LineDecoder* d) {
+  std::vector<std::pair<bool, std::string>> out;
+  std::string line;
+  for (;;) {
+    const auto event = d->Next(&line);
+    if (event == LineDecoder::Event::kNone) break;
+    const bool oversized = event == LineDecoder::Event::kOversized;
+    out.emplace_back(oversized, oversized ? std::string() : line);
+  }
+  return out;
+}
+
+/// Feeds `pieces` to both decoders, comparing the buffered bytes after
+/// every Append and the events either after every Append (`drain_each`)
+/// or once at the end.
+void ExpectMatchesReference(size_t cap,
+                            const std::vector<std::string>& pieces,
+                            bool drain_each, const std::string& label) {
+  LineDecoder d(cap);
+  ByteAtATimeDecoder ref(cap);
+  std::vector<std::pair<bool, std::string>> got, want;
+  for (const std::string& piece : pieces) {
+    d.Append(piece.data(), piece.size());
+    ref.Append(piece.data(), piece.size());
+    ASSERT_EQ(d.buffered_bytes(), ref.buffered_bytes()) << label;
+    if (drain_each) {
+      for (auto& e : DrainEvents(&d)) got.push_back(std::move(e));
+      for (auto& e : ref.Drain()) want.push_back(std::move(e));
+      ASSERT_EQ(got, want) << label;
+    }
+  }
+  for (auto& e : DrainEvents(&d)) got.push_back(std::move(e));
+  for (auto& e : ref.Drain()) want.push_back(std::move(e));
+  ASSERT_EQ(got, want) << label;
+}
+
+TEST(LineDecoderTest, MatchesByteAtATimeReferenceAtTheCap) {
+  // Lines at and around the cap: exactly cap bytes, cap + 1, cap bytes
+  // plus CRLF (the '\r' counts toward the cap, so that line is
+  // oversized), cap - 1 plus CRLF, empty lines bare and with CRLF, a
+  // lone '\r', and an oversized run longer than any one append.
+  const size_t cap = 16;
+  const std::string at_cap(cap, 'a');
+  const std::string wire = at_cap + "\n" + std::string(cap + 1, 'b') +
+                           "\n" + at_cap + "\r\n" +
+                           std::string(cap - 1, 'c') + "\r\n\n\r\n\r\r\n" +
+                           std::string(5 * cap, 'd') + "\r\nPING\n" +
+                           at_cap + "\r" + "\n" + "tail";
+  for (size_t cut = 0; cut <= wire.size(); ++cut) {
+    for (const bool drain_each : {false, true}) {
+      ExpectMatchesReference(
+          cap, {wire.substr(0, cut), wire.substr(cut)}, drain_each,
+          "cut=" + std::to_string(cut) + " drain_each=" +
+              std::to_string(drain_each));
+    }
+  }
+  // Every split into pieces of one size, down to byte-at-a-time.
+  for (size_t size = 1; size <= 2 * cap + 3; ++size) {
+    std::vector<std::string> pieces;
+    for (size_t at = 0; at < wire.size(); at += size) {
+      pieces.push_back(wire.substr(at, size));
+    }
+    ExpectMatchesReference(cap, pieces, /*drain_each=*/true,
+                           "size=" + std::to_string(size));
+  }
+}
+
+TEST(LineDecoderTest, MatchesByteAtATimeReferenceOnRandomStreams) {
+  // Bytes drawn from {x, \r, \n} with lines clustered around the cap,
+  // random append sizes and random drain points.
+  Xoshiro256pp rng(71);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t cap = 16 + rng.NextBounded(24);
+    std::string wire;
+    while (wire.size() < 400) {
+      const size_t len = cap - 3 + rng.NextBounded(7);
+      wire += std::string(len, 'x');
+      const uint64_t end = rng.NextBounded(4);
+      wire += end == 0 ? "\r\n" : end == 1 ? "\r" : "\n";
+    }
+    std::vector<std::string> pieces;
+    for (size_t at = 0; at < wire.size();) {
+      const size_t n = 1 + rng.NextBounded(3 * cap);
+      pieces.push_back(wire.substr(at, n));
+      at += n;
+    }
+    ExpectMatchesReference(cap, pieces, rng.NextBounded(2) == 0,
+                           "trial=" + std::to_string(trial));
+  }
+}
+
 // ---------------------------------------------------------- ParseCommand
 
 TEST(ParseCommandTest, ParsesEveryVerb) {

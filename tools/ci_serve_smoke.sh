@@ -12,8 +12,10 @@
 # A recover=1 CREATE that contradicts its checkpoint must answer ERR and
 # leave the server serving. Two checkpointed tenants, one fed past its
 # last cut and one fed short of its first cadence cut, are then killed
-# with SIGKILL; the restarted server's recovered samples must match
-# `rl0_cli sample` over the same prefix. It ends with a one-shard
+# with SIGKILL; both before and after the restart each tenant directory
+# must hold exactly ckpt-000000.full and journal.log, and the restarted
+# server's recovered samples must match `rl0_cli sample` over the same
+# prefix. It ends with a one-shard
 # `rl0_cli sample --checkpoint-dir` run whose `rl0_cli recover` output
 # must match the run's own samples.
 #
@@ -156,6 +158,18 @@ done
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
+# Every cut rewrites one full checkpoint: a tenant directory holds
+# exactly ckpt-000000.full and journal.log, never a *.delta file.
+expect_full_only() {
+  local listing
+  listing=$(ls "$TMP/ck/$1" | tr '\n' ' ')
+  [[ "$listing" == "ckpt-000000.full journal.log " ]] || {
+    echo "smoke: $2 tenant $1's directory holds: $listing" >&2
+    exit 1
+  }
+}
+expect_full_only k9 "killed"
+expect_full_only k0 "killed"
 start_server "$TMP/server-k9-recovered.log"
 "$BUILD/rl0_cli" sample --alpha 0.5 --window 2000 --shards 4 --seed 42 \
   --queries 3 "$TMP/prefix.csv" 2> /dev/null > "$TMP/k9.cli"
@@ -177,6 +191,7 @@ for tenant in k9 k0; do
     echo "smoke: kill -9 recovery of $tenant diverged from rl0_cli" >&2
     exit 1
   }
+  expect_full_only "$tenant" "recovered"
 done
 kill "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true

@@ -47,7 +47,9 @@ commands:
             [--reservoir] [--seed S] [--queries Q] [--shards S]
             [--no-filter] [--lateness L]
             [--checkpoint-dir D [--checkpoint-every N]]
-            Draw Q robust l0-samples (default 1). With --window W, sample
+            Draw Q robust l0-samples (default 1); --k N > 1 draws N
+            distinct ones per query and needs the infinite window (no
+            --window). With --window W, sample
             from the last W points instead of the whole stream. Points
             ingest through a persistent pipeline of S worker lanes
             (--shards, default 1) and samples come from the merged
@@ -62,18 +64,17 @@ commands:
             output is identical to sampling the stamp-sorted file.
             Rows beyond the bound are a line-numbered parse error.
             With --checkpoint-dir D (needs --window), every fed chunk is
-            journaled and a checkpoint chain is cut into D —
-            ckpt-000000.full before the first point, then incremental
-            ckpt-NNNNNN.delta files every N points (--checkpoint-every;
-            default: one final cut at end of stream). That first cut
-            replaces any chain already in D and creates D/journal.log;
-            each chunk is appended to it as it is fed, so a killed run
-            loses no fed chunk. `recover` rebuilds the pool from those
-            files.
+            journaled and a full checkpoint D/ckpt-000000.full is cut
+            before the first point, then rewritten every N points
+            (--checkpoint-every; default: one final cut at end of
+            stream). That first cut replaces any checkpoint already in D
+            and creates D/journal.log; each chunk is appended to it as
+            it is fed, so a killed run loses no fed chunk. `recover`
+            rebuilds the pool from those two files.
   recover   --checkpoint-dir D [--queries Q] [--seed S]
-            Rebuild a pool from D: fold the delta chain onto the full
-            checkpoint, replay the journal's surviving suffix (torn
-            tails from a crash are fine), and draw Q samples from the
+            Rebuild a pool from D: restore the full checkpoint, replay
+            the journal records fed after it (torn tails from a crash
+            are fine), and draw Q samples from the
             recovered window — bit-identical to a run that never went
             down (see core/checkpoint.h for the exact contract).
   count     --alpha A [--epsilon E] [--seed S] [--no-filter]
@@ -225,7 +226,7 @@ rl0::Result<std::vector<Point>> LoadPoints(const Args& args) {
 
 // --------------------------------------------------------- checkpointing
 
-/// The journal + incremental-chain machinery lives in
+/// The journal + full-checkpoint machinery lives in
 /// rl0/serve/checkpointer.h so the standing-query server shares the
 /// exact on-disk layout with this tool.
 using PoolCheckpointer = rl0::serve::PoolCheckpointer;
@@ -421,6 +422,12 @@ int RunSample(const Args& args) {
   if (args.time && args.window <= 0) {
     return Fail("--time requires --window W > 0");
   }
+  if (args.k > 1 && args.window > 0) {
+    // Windowed sampling draws one sample per query: a windowed k-sample
+    // would need k groups kept at one common rate, which the sliding-
+    // window hierarchy does not keep.
+    return Fail("--k > 1 needs the infinite window (drop --window)");
+  }
   const auto metric = ParseMetric(args.metric);
   if (!metric.ok()) return Fail(metric.status().ToString());
 
@@ -458,9 +465,9 @@ int RunRecover(const Args& args) {
   if (args.checkpoint_dir.empty()) {
     return Fail("recover requires --checkpoint-dir DIR");
   }
-  // Fold the on-disk chain (a missing journal means the run checkpointed
-  // but never flushed a record past the last cut — recovery from the cut
-  // alone is exact).
+  // Read the checkpoint and journal (a missing journal means the run
+  // checkpointed but never flushed a record past the last cut — recovery
+  // from the cut alone is exact).
   auto chain = rl0::serve::LoadCheckpointChain(args.checkpoint_dir);
   if (!chain.ok()) return Fail(chain.status().ToString());
   auto recovered =
@@ -482,11 +489,11 @@ int RunRecover(const Args& args) {
   // comparable to the original's.
   std::fprintf(stderr,
                "[recovered pool: %zu shards, %llu points, now=%lld, "
-               "space=%zu words; chain=1 full + %zu deltas, journal=%zuB%s]\n",
+               "space=%zu words; checkpoint=%zuB, journal=%zuB%s]\n",
                pool.num_shards(),
                static_cast<unsigned long long>(pool.points_processed()),
                static_cast<long long>(pool.now()), pool.SpaceWords(),
-               chain.value().deltas, chain.value().journal.size(),
+               chain.value().checkpoint.size(), chain.value().journal.size(),
                LateNote(pool.late_stats()).c_str());
   return 0;
 }
