@@ -41,9 +41,10 @@ IngestPool::IngestPool(std::vector<Sink> sinks, const Options& options)
     lanes_.push_back(std::make_unique<Lane>(queue_capacity, std::move(sink)));
   }
   if (fleet_ != nullptr) {
+    fleet_ids_.reserve(lanes_.size());
     for (std::unique_ptr<Lane>& lane : lanes_) {
-      lane->fleet_id = fleet_->Register(
-          [this, raw = lane.get()] { return RunLaneOnce(raw); });
+      fleet_ids_.push_back(fleet_->Register(
+          [this, raw = lane.get()] { return RunLaneOnce(raw); }));
     }
   }
 }
@@ -121,13 +122,22 @@ void IngestPool::Enqueue(Item item) {
     tap_(item.chunk.points, item.chunk.stamps, item.index_base,
          item.watermark ? &*item.watermark : nullptr);
   }
-  for (std::unique_ptr<Lane>& lane : lanes_) {
-    lane->queue.Push(item);
-    // Fleet mode: wake a shared worker for this lane right after its
-    // push, so an earlier lane progresses even while a later lane's
-    // full queue blocks the loop.
-    if (fleet_ != nullptr) fleet_->Notify(lane->fleet_id);
+  if (fleet_ == nullptr) {
+    for (std::unique_ptr<Lane>& lane : lanes_) lane->queue.Push(item);
+    return;
   }
+  // Fleet mode: one Notify wakes the chunk's lanes together. Before
+  // blocking on a full queue, notify the lanes already pushed, so an
+  // earlier lane progresses even while a later lane's queue is full.
+  const Span<const uint64_t> ids(fleet_ids_);
+  size_t unnotified = 0;  // lanes [unnotified, i) are pushed, not notified
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    if (lanes_[i]->queue.TryPush(item)) continue;
+    fleet_->Notify(ids.subspan(unnotified, i - unnotified));
+    unnotified = i;
+    lanes_[i]->queue.Push(item);
+  }
+  fleet_->Notify(ids.subspan(unnotified, lanes_.size() - unnotified));
 }
 
 void IngestPool::Feed(Chunk chunk) {
@@ -193,9 +203,7 @@ void IngestPool::Stop() {
     // blocks until a lane's in-flight run ends, so after this loop the
     // fleet never touches this pool again.
     Drain();
-    for (std::unique_ptr<Lane>& lane : lanes_) {
-      fleet_->Deregister(lane->fleet_id);
-    }
+    for (const uint64_t id : fleet_ids_) fleet_->Deregister(id);
     return;
   }
   // With stopped_ set no Enqueue can start workers any more, so reading

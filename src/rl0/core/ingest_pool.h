@@ -59,7 +59,9 @@
 // round-robin service across every registered lane. All contracts above
 // (index-base determinism, backpressure, Drain, QuiescedRun) hold
 // identically; a lane is still consumed in order by one worker at a
-// time. The fleet must outlive the pool (Stop deregisters the lanes).
+// time. A fed chunk wakes all its lanes with one WorkerFleet::Notify
+// (more only when a full lane queue blocks the producer). The fleet
+// must outlive the pool (Stop deregisters the lanes).
 
 #ifndef RL0_CORE_INGEST_POOL_H_
 #define RL0_CORE_INGEST_POOL_H_
@@ -205,8 +207,6 @@ class IngestPool {
     /// Dedicated worker (default mode; unused in fleet mode). Started by
     /// the first fed chunk under feed_mu_.
     std::thread worker;
-    /// Fleet membership id (fleet mode; 0 in dedicated mode).
-    uint64_t fleet_id = 0;
     /// Held by the worker while a chunk is inside the sink (QuiescedRun
     /// acquires all lanes' mutexes — via MutexLockSet — to pause the
     /// pool between chunks).
@@ -243,6 +243,9 @@ class IngestPool {
   Sink tap_ RL0_GUARDED_BY(feed_mu_);
   /// Stable addresses: workers hold Lane* across the pool's lifetime.
   std::vector<std::unique_ptr<Lane>> lanes_;
+  /// The lanes' fleet member ids, in lane order (empty in dedicated
+  /// mode); immutable after construction.
+  std::vector<uint64_t> fleet_ids_;
 };
 
 }  // namespace rl0

@@ -37,11 +37,16 @@ const char* CellIndexDispatch() {
 #endif
 }
 
-CellIndex::CellIndex()
-    : keys_(kInitialBuckets, 0),
-      heads_(kInitialBuckets, kNpos),
-      states_(kInitialBuckets, kEmpty),
-      shift_(64 - 4) {}
+CellIndex::CellIndex() { Reset(); }
+
+void CellIndex::Reset() {
+  keys_.assign(kInitialBuckets, 0);
+  heads_.assign(kInitialBuckets, kNpos);
+  states_.assign(kInitialBuckets, kEmpty);
+  shift_ = 64 - 4;
+  live_ = 0;
+  used_ = 0;
+}
 
 uint32_t CellIndex::FindScalar(uint64_t key) const {
   const size_t mask = keys_.size() - 1;

@@ -53,6 +53,11 @@ class CellIndex {
 
   CellIndex();
 
+  /// Empties the index back to its initial buckets in place: the bucket
+  /// vectors keep their heap blocks (the per-arrival
+  /// SwGroupTable::Clear allocates nothing).
+  void Reset();
+
   /// Head slot of `key`'s chain, or kNpos.
   uint32_t Find(uint64_t key) const;
 

@@ -359,7 +359,7 @@ void SwGroupTable::Clear() {
     stamp_prev_[slot] = kNpos;
     stamp_next_[slot] = kNpos;
   }
-  cell_index_ = CellIndex();
+  cell_index_.Reset();
   stamp_head_ = kNpos;
   stamp_tail_ = kNpos;
   free_slots_.clear();

@@ -1,5 +1,6 @@
 #include "rl0/core/worker_fleet.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "rl0/util/check.h"
@@ -57,26 +58,31 @@ void WorkerFleet::Deregister(uint64_t id) {
   members_.erase(it);
 }
 
-void WorkerFleet::Notify(uint64_t id) {
-  bool wake = false;
+void WorkerFleet::Notify(Span<const uint64_t> ids) {
+  if (ids.empty()) return;
+  size_t wakes = 0;
   {
     MutexLock lock(&mu_);
-    auto it = members_.find(id);
-    if (it == members_.end()) return;
-    Member* m = it->second.get();
-    if (m->dead) return;
-    if (m->running) {
-      // The run in flight may have already drained the queue before this
-      // notification's chunk landed; latch so the member re-enters the
-      // ring when the run ends.
-      m->renotify = true;
-    } else if (!m->enlisted) {
-      m->enlisted = true;
-      ready_.push_back(id);
-      wake = true;
+    for (const uint64_t id : ids) {
+      auto it = members_.find(id);
+      if (it == members_.end()) continue;
+      Member* m = it->second.get();
+      if (m->dead) continue;
+      if (m->running) {
+        // The run in flight may have already drained the queue before
+        // this notification's chunk landed; latch so the member
+        // re-enters the ring when the run ends.
+        m->renotify = true;
+      } else if (!m->enlisted) {
+        m->enlisted = true;
+        ready_.push_back(id);
+        ++wakes;
+      }
     }
+    // Busy threads re-check the ring before they wait.
+    wakes = std::min(wakes, idle_);
   }
-  if (wake) work_cv_.NotifyOne();
+  for (size_t i = 0; i < wakes; ++i) work_cv_.NotifyOne();
 }
 
 void WorkerFleet::WorkerLoop() {
@@ -85,7 +91,11 @@ void WorkerFleet::WorkerLoop() {
   // checks that the lock state is balanced at every join point.
   mu_.Lock();
   for (;;) {
-    while (!stopping_ && ready_.empty()) work_cv_.Wait(&mu_);
+    while (!stopping_ && ready_.empty()) {
+      ++idle_;
+      work_cv_.Wait(&mu_);
+      --idle_;
+    }
     if (ready_.empty()) {
       if (stopping_) {
         mu_.Unlock();
@@ -108,11 +118,12 @@ void WorkerFleet::WorkerLoop() {
     // did_work: the queue may hold more chunks (we only ran one) — take
     // another turn after everyone else. renotify: a producer pushed
     // while we ran. Either way re-enlist; a spurious extra run settles
-    // by returning false.
+    // by returning false. This thread takes the ring's front next, so
+    // an idle thread is woken only when the ring holds more than that.
     if (!m->dead && (did_work || m->renotify)) {
       m->enlisted = true;
       ready_.push_back(id);
-      work_cv_.NotifyOne();
+      if (idle_ > 0 && ready_.size() > 1) work_cv_.NotifyOne();
     }
     m->renotify = false;
     idle_cv_.NotifyAll();

@@ -16,6 +16,13 @@
 // other ready lane gets a turn. Backpressure is unchanged: producers
 // still block on the lane's bounded queue, not on the fleet.
 //
+// Wake rule: Notify enlists a whole chunk's lanes under one lock and
+// signals the shared condition variable once per newly enlisted lane,
+// but never more often than there are idle fleet threads (counted under
+// the lock). A busy thread re-checks the ring before it waits, so
+// enlisted work is never stranded, and a producer pays no signal while
+// every fleet thread is busy.
+//
 // Ordering guarantee: a member is enlisted at most once and run by at
 // most one thread at a time (the enlisted/running flags below), so a
 // lane's chunks are consumed strictly in queue order — the pipeline's
@@ -38,6 +45,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "rl0/util/span.h"
 #include "rl0/util/sync.h"
 #include "rl0/util/thread_annotations.h"
 
@@ -70,11 +78,13 @@ class WorkerFleet {
   /// return the fleet never invokes the callback again.
   void Deregister(uint64_t id);
 
-  /// Signals that member `id` may have pending work. Cheap; coalesces
-  /// with an existing enlistment, and a notification racing the
-  /// member's own run is latched and re-enlists it afterwards (no lost
-  /// wakeups). Safe from any thread.
-  void Notify(uint64_t id);
+  /// Signals that members `ids` (typically one chunk's lanes) may have
+  /// pending work: enlists them all under one lock, and wakes idle
+  /// fleet threads only (see the wake rule above). Coalesces with an
+  /// existing enlistment, and a notification racing a member's own run
+  /// is latched and re-enlists it afterwards (no lost wakeups). Unknown
+  /// or deregistered ids are ignored. Safe from any thread.
+  void Notify(Span<const uint64_t> ids);
 
   size_t num_threads() const { return threads_.size(); }
 
@@ -109,6 +119,9 @@ class WorkerFleet {
       RL0_GUARDED_BY(mu_);
   uint64_t next_id_ RL0_GUARDED_BY(mu_) = 1;
   bool stopping_ RL0_GUARDED_BY(mu_) = false;
+  /// Fleet threads waiting on work_cv_ (signalled ones included until
+  /// they retake mu_).
+  size_t idle_ RL0_GUARDED_BY(mu_) = 0;
   std::vector<std::thread> threads_;
 };
 

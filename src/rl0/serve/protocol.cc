@@ -1,6 +1,5 @@
 #include "rl0/serve/protocol.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cfloat>
 #include <charconv>
@@ -128,6 +127,8 @@ bool ParseI64Token(const std::string& tok, int64_t* out) {
   return true;
 }
 
+bool IsBlank(char c) { return c == ' ' || c == '\t'; }
+
 /// Space/tab-separated tokens of a line, scanned in place.
 class TokenScanner {
  public:
@@ -135,12 +136,15 @@ class TokenScanner {
 
   /// The next token, or false at the end of the line.
   bool Next(std::string_view* tok) {
-    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t')) ++i_;
+    while (i_ < s_.size() && IsBlank(s_[i_])) ++i_;
     const size_t start = i_;
-    while (i_ < s_.size() && s_[i_] != ' ' && s_[i_] != '\t') ++i_;
+    while (i_ < s_.size() && !IsBlank(s_[i_])) ++i_;
     *tok = s_.substr(start, i_ - start);
     return i_ > start;
   }
+
+  /// The unscanned rest of the line.
+  std::string_view rest() const { return s_.substr(i_); }
 
  private:
   std::string_view s_;
@@ -157,45 +161,49 @@ std::vector<std::string> SplitTokens(const std::string& line) {
 
 Status Err(const std::string& msg) { return Status::InvalidArgument(msg); }
 
-/// Parses one coordinate [b, e) under ParseDoubleToken's rule, without
-/// a string copy on the common path. std::from_chars rounds correctly, as
-/// strtod does, but the two accept different languages: from_chars
-/// rejects a leading '+', leading '\v' '\f' '\r' and hex floats, which
-/// strtod accepts; it accepts subnormals and inputs that round up to
-/// DBL_MIN, which glibc's strtod rejects with ERANGE. So from_chars
-/// decides only a span that starts with [-.0-9], is consumed entirely and
-/// yields a normal |v| > DBL_MIN — there both agree on acceptance and
-/// value. Everything else takes the strtod rule itself. (A conforming
-/// from_chars already fails, or yields inf/nan, on every span the
-/// first-byte test screens out; the test keeps the split from resting on
-/// that.)
-bool ParseCoordinate(const char* b, const char* e, double* out) {
-  if (b != e && (*b == '-' || *b == '.' || (*b >= '0' && *b <= '9'))) {
+/// Parses the coordinate that starts at `b` (the line runs on to
+/// `end`) under ParseDoubleToken's rule, and returns where it stops: at
+/// ',', a blank or `end`. Returns nullptr when the piece up to the next
+/// ',' or blank is not a coordinate.
+///
+/// std::from_chars rounds correctly, as strtod does, but the two accept
+/// different languages: from_chars rejects a leading '+', leading '\v'
+/// '\f' '\r' and hex floats, which strtod accepts; it accepts subnormals
+/// and inputs that round up to DBL_MIN, which glibc's strtod rejects with
+/// ERANGE. So from_chars decides only a piece that starts with [-.0-9],
+/// is consumed up to a ',', a blank or the end, and yields a normal
+/// |v| > DBL_MIN — there both agree on acceptance and value. No ',' or
+/// blank fits the float grammar, so from_chars stops where it would on
+/// the piece alone. Everything else takes the strtod rule itself on the
+/// piece. (A conforming from_chars already fails, or yields inf/nan, on
+/// every piece the first-byte test screens out; the test keeps the split
+/// from resting on that.)
+const char* ParseCoordinate(const char* b, const char* end, double* out) {
+  if (b != end && (*b == '-' || *b == '.' || (*b >= '0' && *b <= '9'))) {
     double v = 0.0;
-    const std::from_chars_result r = std::from_chars(b, e, v);
-    if (r.ec == std::errc() && r.ptr == e && std::isnormal(v) &&
-        std::fabs(v) > DBL_MIN) {
+    const std::from_chars_result r = std::from_chars(b, end, v);
+    if (r.ec == std::errc() &&
+        (r.ptr == end || *r.ptr == ',' || IsBlank(*r.ptr)) &&
+        std::isnormal(v) && std::fabs(v) > DBL_MIN) {
       *out = v;
-      return true;
+      return r.ptr;
     }
   }
-  return ParseDoubleToken(std::string(b, e), out);
+  const char* stop = b;
+  while (stop != end && *stop != ',' && !IsBlank(*stop)) ++stop;
+  if (!ParseDoubleToken(std::string(b, stop), out)) return nullptr;
+  return stop;
 }
 
-/// Appends the coordinates of "x,y,z" (any dimension, no empty piece)
-/// to `coords`.
-bool ParseCoordinates(std::string_view tok, std::vector<double>* coords) {
-  const char* b = tok.data();
-  const char* const end = b + tok.size();
-  for (;;) {
-    const char* comma = b;
-    while (comma != end && *comma != ',') ++comma;
-    double v;
-    if (!ParseCoordinate(b, comma, &v)) return false;
-    coords->push_back(v);
-    if (comma == end) return true;
-    b = comma + 1;
+/// Parses the stamp [b, e) under ParseI64Token's rule. from_chars
+/// decides a span of '-' and digits that it consumes whole, where both
+/// rules agree; everything else takes the strtoll rule itself.
+bool ParseStamp(const char* b, const char* e, int64_t* out) {
+  if (b != e && (*b == '-' || (*b >= '0' && *b <= '9'))) {
+    const std::from_chars_result r = std::from_chars(b, e, *out);
+    if (r.ec == std::errc() && r.ptr == e) return true;
   }
+  return ParseI64Token(std::string(b, e), out);
 }
 
 /// Splits "key=value"; returns false when there is no '=' or empty key.
@@ -325,10 +333,11 @@ Result<Command> ParseCreate(const std::vector<std::string>& tokens) {
   return cmd;
 }
 
-/// FEED / FEEDSTAMPED, scanned in place from the token after the verb:
-/// no string per token, one coordinate vector per point. Checks run in
-/// the order of the token rule they replace — the point count before any
-/// point, each whole point before its dimension check.
+/// FEED / FEEDSTAMPED in one pass over the line after the verb: each
+/// coordinate is parsed from where the previous one stopped, and points
+/// are counted as they are parsed. Errors keep the precedence of the
+/// token rule this replaced: the point count wins over any point error,
+/// and each whole point is parsed before its dimension check.
 Result<Command> ParseFeed(TokenScanner scanner, bool stamped) {
   Command cmd;
   cmd.type = stamped ? CommandType::kFeedStamped : CommandType::kFeed;
@@ -336,51 +345,73 @@ Result<Command> ParseFeed(TokenScanner scanner, bool stamped) {
   std::string_view tok;
   if (!scanner.Next(&tok)) return Err(name + ": missing tenant name");
   cmd.tenant.assign(tok);
-  const TokenScanner points_start = scanner;
-  size_t count = 0;
-  while (count <= kMaxPointsPerFeed && scanner.Next(&tok)) ++count;
-  if (count == 0) return Err(name + ": no points");
-  if (count > kMaxPointsPerFeed) {
+  const std::string_view rest = scanner.rest();
+  const char* p = rest.data();
+  const char* const end = p + rest.size();
+  const auto too_many = [&name] {
     return Err(name + ": too many points in one command");
-  }
-  cmd.points.reserve(count);
-  if (stamped) cmd.stamps.reserve(count);
-  scanner = points_start;
+  };
+  // The token that starts at `b`, quoted for an error message.
+  const auto quoted = [end](const char* b) {
+    const char* e = b;
+    while (e != end && !IsBlank(*e)) ++e;
+    return "'" + std::string(b, e) + "'";
+  };
+  // An error in the token at `b` stands unless the line holds more
+  // points than the bound, which wins: count the tokens from `b` on,
+  // up to the bound, first.
+  const auto fail = [&](const char* b, Status error) {
+    TokenScanner from_bad(std::string_view(b, static_cast<size_t>(end - b)));
+    size_t count = cmd.points.size();
+    std::string_view skipped;
+    while (count <= kMaxPointsPerFeed && from_bad.Next(&skipped)) ++count;
+    return count > kMaxPointsPerFeed ? too_many() : error;
+  };
   size_t dim = 0;
-  while (scanner.Next(&tok)) {
-    std::string_view coords_tok = tok;
+  for (;;) {
+    while (p != end && IsBlank(*p)) ++p;
+    if (p == end) break;
+    if (cmd.points.size() == kMaxPointsPerFeed) return too_many();
+    const char* const tok_begin = p;
     if (stamped) {
-      const size_t at = tok.find('@');
-      if (at == std::string_view::npos) {
-        return Err("FEEDSTAMPED: expected stamp@coords, got '" +
-                   std::string(tok) + "'");
+      const char* at = p;
+      while (at != end && *at != '@' && !IsBlank(*at)) ++at;
+      if (at == end || *at != '@') {
+        return fail(tok_begin, Err("FEEDSTAMPED: expected stamp@coords, got " +
+                                   quoted(tok_begin)));
       }
-      int64_t stamp;
-      if (!ParseI64Token(std::string(tok.substr(0, at)), &stamp)) {
-        return Err("FEEDSTAMPED: bad stamp in '" + std::string(tok) + "'");
+      int64_t stamp = 0;
+      if (!ParseStamp(p, at, &stamp)) {
+        return fail(tok_begin,
+                    Err("FEEDSTAMPED: bad stamp in " + quoted(tok_begin)));
       }
       // No ordering check here: whether disorder is legal depends on
       // the tenant's mode (late tolerates it, time does not), which the
       // stateless parser cannot know. The registry enforces it.
       cmd.stamps.push_back(stamp);
-      coords_tok.remove_prefix(at + 1);
+      p = at + 1;
     }
     std::vector<double> coords;
-    // Sized once: the first point by its commas, the rest by its dim.
-    coords.reserve(cmd.points.empty()
-                       ? 1 + static_cast<size_t>(std::count(
-                                 coords_tok.begin(), coords_tok.end(), ','))
-                       : dim);
-    if (!ParseCoordinates(coords_tok, &coords)) {
-      return Err(name + ": bad point '" + std::string(tok) + "'");
+    coords.reserve(dim);  // the first point sets dim
+    for (;;) {
+      double v = 0.0;
+      p = ParseCoordinate(p, end, &v);
+      if (p == nullptr) {
+        return fail(tok_begin,
+                    Err(name + ": bad point " + quoted(tok_begin)));
+      }
+      coords.push_back(v);
+      if (p == end || *p != ',') break;
+      ++p;
     }
     if (cmd.points.empty()) {
       dim = coords.size();
     } else if (coords.size() != dim) {
-      return Err(name + ": inconsistent dimensions");
+      return fail(tok_begin, Err(name + ": inconsistent dimensions"));
     }
     cmd.points.emplace_back(std::move(coords));
   }
+  if (cmd.points.empty()) return Err(name + ": no points");
   return cmd;
 }
 

@@ -351,6 +351,11 @@ Status TenantRegistry::FeedStamped(const std::string& name,
     return Status::FailedPrecondition("tenant '" + name +
                                       "' is sequence-mode; use FEED");
   }
+  if (stamps.size() != points.size()) {
+    return Status::InvalidArgument(std::to_string(stamps.size()) +
+                                   " stamps for " +
+                                   std::to_string(points.size()) + " points");
+  }
   if (!points.empty() && points[0].dim() != t->params.dim) {
     return Status::InvalidArgument("wrong dimension for tenant '" + name +
                                    "'");

@@ -112,7 +112,9 @@ class TenantRegistry {
   /// stamp (rejected with InvalidArgument otherwise — the pool would
   /// CHECK-fail); late mode accepts any order within the tenant's
   /// lateness bound (the reorder stage restores order, out-of-bound
-  /// stamps count as late_dropped).
+  /// stamps count as late_dropped). A batch with one stamp per point is
+  /// the caller's duty; any other is rejected with InvalidArgument
+  /// before the tenant is touched.
   Status FeedStamped(const std::string& name, std::vector<Point> points,
                      std::vector<int64_t> stamps);
 

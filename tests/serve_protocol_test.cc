@@ -472,6 +472,9 @@ const char* const kEdgeAtoms[] = {
     "1e+", "1e-", "e5", ".", "-", "--1", "1..2", "1e5", "1E5", "1e+05",
     "", "1 ", "1\v", "1x", "0.1e-307", "123456789012345678901234567890",
     "0.000000000000000000000000000001", "9007199254740993", "-1e-5",
+    // Run-on numbers and stray separators: a single-pass scan must stop
+    // on each of these and fall back to the piece, never split it.
+    "1@2", "1e5x", "1.5.2", "1-2", "1e5e5", "0x", "1\t", "1\t2", "1\t \t",
 };
 
 std::string RandomCoordinate(Xoshiro256pp* rng) {
@@ -511,9 +514,10 @@ std::string RandomStamp(Xoshiro256pp* rng) {
 std::string RandomFeedLine(Xoshiro256pp* rng) {
   const bool stamped = rng->NextBounded(2) == 0;
   const auto blank = [rng] {
-    switch (rng->NextBounded(10)) {
+    switch (rng->NextBounded(12)) {
       case 0: return std::string("\t");
       case 1: return std::string("  ");
+      case 2: return std::string("\t \t");
       default: return std::string(" ");
     }
   };
@@ -525,6 +529,8 @@ std::string RandomFeedLine(Xoshiro256pp* rng) {
   for (size_t i = 0; i < points; ++i) {
     line += blank();
     if (stamped && rng->NextBounded(30) != 0) line += RandomStamp(rng) + "@";
+    // A stray '@': a plain FEED's point, or a stamped token's second one.
+    if (rng->NextBounded(40) == 0) line += RandomStamp(rng) + "@";
     const size_t d = rng->NextBounded(10) == 0 ? 1 + rng->NextBounded(6) : dim;
     for (size_t j = 0; j < d; ++j) {
       if (j > 0) line += rng->NextBounded(60) == 0 ? ",," : ",";
@@ -577,6 +583,14 @@ TEST(ParseCommandTest, FeedMatchesStrtodReference) {
     ExpectSameParse(std::string("FEED t ") + atom);
     ExpectSameParse(std::string("FEED t 1,") + atom);
     ExpectSameParse(std::string("FEEDSTAMPED t 3@") + atom);
+  }
+
+  // A point ends at a tab as at a space, and any blank run may trail.
+  for (const char* line :
+       {"FEED t 1,2\t3,4", "FEED t 1,2\t3,4\t", "FEED t 1,2 \t3,4\t \t",
+        "FEEDSTAMPED t 1@1,2\t2@3,4\t \t", "FEED t 1@2", "FEED t 1,2 1@2",
+        "FEEDSTAMPED t 1@2@3", "FEEDSTAMPED t 1@2 3@4@5"}) {
+    ExpectSameParse(line);
   }
 
   // The point-count bound wins over a bad (or mis-dimensioned) point.

@@ -295,6 +295,45 @@ TEST(StandingQueryTest, LateModeTriggersFollowReleaseFrontierAndFlush) {
   EXPECT_EQ(fired[2], 280);
 }
 
+TEST(StandingQueryTest, FeedStampedRejectsStampCountMismatch) {
+  // A direct library caller can hand FeedStamped one stamp per point or
+  // not; with a subscription, the trigger loop reads a stamp per point.
+  // A mismatch must be refused before the CVM or the pool sees a point.
+  for (const TenantMode mode : {TenantMode::kTime, TenantMode::kLate}) {
+    SCOPED_TRACE(mode == TenantMode::kTime ? "time" : "late");
+    TenantRegistry registry(TenantRegistry::Options{});
+    CreateParams params = SeqParams(1, 1000, 5);
+    params.mode = mode;
+    if (mode == TenantMode::kLate) params.lateness = 10;
+    ASSERT_TRUE(registry.Create("t", params).ok());
+    std::vector<int64_t> fired;
+    ASSERT_TRUE(registry
+                    .Subscribe("t", SubscribeCmd(QueryKind::kDigest, 5), 1,
+                               [&](const std::string& block) {
+                                 fired.push_back(EventAt(block));
+                                 return true;
+                               })
+                    .ok());
+
+    const Status fewer = registry.FeedStamped("t", Ramp(3), {10, 20});
+    EXPECT_EQ(fewer.code(), StatusCode::kInvalidArgument);
+    const Status more = registry.FeedStamped("t", Ramp(2), {10, 20, 30});
+    EXPECT_EQ(more.code(), StatusCode::kInvalidArgument);
+    const Status none = registry.FeedStamped("t", {}, {10});
+    EXPECT_EQ(none.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(fired.empty());
+    auto f0 = registry.F0Line("t");
+    ASSERT_TRUE(f0.ok());
+    EXPECT_NE(f0.value().find("observed=0"), std::string::npos)
+        << f0.value();
+
+    // The tenant is untouched and still serves a well-formed batch.
+    ASSERT_TRUE(registry.FeedStamped("t", Ramp(2), {10, 20}).ok());
+    ASSERT_TRUE(registry.Flush("t").ok());
+    EXPECT_FALSE(fired.empty());
+  }
+}
+
 TEST(StandingQueryTest, DigestItemsAreNeverExpired) {
   // Tight window over a drifting stream: every ITEM a digest reports
   // must come from inside the window at its fire position.

@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -629,6 +630,61 @@ TEST(SwPipelineDeterminismTest, FleetModeBitIdenticalToDedicatedThreads) {
     if (a.has_value()) {
       EXPECT_EQ(a->point, b->point);
       EXPECT_EQ(a->stream_index, b->stream_index);
+    }
+  }
+}
+
+TEST(SwPipelineDeterminismTest, FleetLosesNoWakeupsUnderBackpressure) {
+  // Six lanes (two 3-shard pools) on a 2-thread fleet with one-chunk
+  // queues, fed by two producer threads at once. Producers keep hitting
+  // full queues, so a chunk's lanes are notified in pieces, while fleet
+  // threads flip between idle and busy. A lost wakeup would leave a
+  // queued chunk unrun and hang the next Drain; every Drain must return
+  // and both pools must end bit-identical to dedicated threads.
+  const auto points = RevisitStream(4000, 40, 505);
+  SamplerOptions opts = BaseOptions(23);
+  const int64_t window = 700;
+  const size_t shards = 3;
+
+  WorkerFleet fleet(2);
+  IngestPool::Options fleet_pipe;
+  fleet_pipe.fleet = &fleet;
+  fleet_pipe.queue_capacity = 1;
+
+  auto fleet_a =
+      ShardedSwSamplerPool::Create(opts, window, shards, fleet_pipe);
+  auto fleet_b =
+      ShardedSwSamplerPool::Create(opts, window, shards, fleet_pipe);
+  auto dedicated = ShardedSwSamplerPool::Create(opts, window, shards);
+  ASSERT_TRUE(fleet_a.ok());
+  ASSERT_TRUE(fleet_b.ok());
+  ASSERT_TRUE(dedicated.ok());
+
+  Span<const Point> span(points.data(), points.size());
+  std::thread producer_a([&] {
+    FeedRandomChunks(&fleet_a.value(), span, /*chunk_seed=*/11,
+                     /*max_chunk=*/40, /*drain_between=*/true);
+  });
+  std::thread producer_b([&] {
+    FeedRandomChunks(&fleet_b.value(), span, /*chunk_seed=*/12,
+                     /*max_chunk=*/25);
+  });
+  producer_a.join();
+  producer_b.join();
+  FeedRandomChunks(&dedicated.value(), span, /*chunk_seed=*/13,
+                   /*max_chunk=*/2048);
+
+  for (size_t s = 0; s < shards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    std::string dedicated_bytes;
+    ASSERT_TRUE(
+        SnapshotSamplerSW(dedicated.value().shard(s), &dedicated_bytes)
+            .ok());
+    for (ShardedSwSamplerPool* pool : {&fleet_a.value(), &fleet_b.value()}) {
+      ExpectSameLevelState(pool->shard(s), dedicated.value().shard(s));
+      std::string fleet_bytes;
+      ASSERT_TRUE(SnapshotSamplerSW(pool->shard(s), &fleet_bytes).ok());
+      EXPECT_EQ(fleet_bytes, dedicated_bytes);
     }
   }
 }

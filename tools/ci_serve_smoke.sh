@@ -9,6 +9,10 @@
 # " stamp N" (it keeps the full stamp array; the server does not), so
 # that suffix is stripped from the CLI side before diffing.
 #
+# Three FEED lines must get their exact replies: one separated by tabs,
+# doubled spaces and a trailing tab, one with a bad coordinate, and one
+# FEEDSTAMPED token without '@'.
+#
 # A recover=1 CREATE that contradicts its checkpoint must answer ERR and
 # leave the server serving. Two checkpointed tenants, one fed past its
 # last cut and one fed short of its first cadence cut, are then killed
@@ -94,6 +98,23 @@ for mode in s t l; do
     echo "smoke: mode $mode diverged from rl0_cli" >&2; exit 1;
   }
 done
+
+# FEED replies pinned on the wire: tabs, doubled spaces and a trailing
+# tab separate points like single spaces do, and a bad coordinate or a
+# FEEDSTAMPED token without '@' answers with the exact error text.
+client "CREATE w dim=2 alpha=0.5 window=100" \
+  "CREATE wt dim=2 alpha=0.5 window=100 mode=time" > /dev/null
+expect_reply() {
+  local got
+  got=$(client "$1" || true)
+  [[ "$got" == "$2" ]] || {
+    echo "smoke: '$1' answered '$got', want '$2'" >&2; exit 1;
+  }
+}
+expect_reply $'FEED w\t1,2  3,4\t5,6\t' "OK fed=3"
+expect_reply "FEED w 1,2 1,x" "ERR FEED: bad point '1,x'"
+expect_reply "FEEDSTAMPED wt 1,2" \
+  "ERR FEEDSTAMPED: expected stamp@coords, got '1,2'"
 
 # Checkpointed tenant round-trip: CLOSE then recover must return the
 # same samples as before the restart of the tenant.
