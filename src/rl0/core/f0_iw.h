@@ -90,10 +90,6 @@ class F0EstimatorIW {
   /// Total space in words across copies.
   size_t SpaceWords() const { return pool_.SpaceWords(); }
 
-  /// Summed duplicate-suppression counters over the per-copy samplers
-  /// (core/dup_filter.h). Requires a drained pipeline.
-  DupFilterStats FilterStats() const { return pool_.FilterStats(); }
-
  private:
   explicit F0EstimatorIW(ShardedSamplerPool pool);
 

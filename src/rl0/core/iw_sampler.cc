@@ -27,8 +27,7 @@ RobustL0SamplerIW::RobustL0SamplerIW(const SamplerOptions& options,
               options.kwise_k),
       reservoir_rng_(SplitMix64(options.seed ^ 0x7265737600ULL)),
       accept_cap_(options.EffectiveAcceptCap()),
-      reps_(options.dim, options.random_representative),
-      dup_filter_(options.dim, /*payload_len=*/1, options.dup_filter) {
+      reps_(options.dim, options.random_representative) {
   meter_.Add(kSamplerScalarWords);
 }
 
@@ -125,56 +124,26 @@ void RobustL0SamplerIW::InsertStrided(Span<const Point> points, size_t start,
   }
 }
 
-void RobustL0SamplerIW::DuplicateLoss(uint32_t candidate, PointView p,
-                                      uint64_t stream_index) {
-  // p is not the first point of its (candidate) group: skip it, but keep
-  // the reservoir of the group fresh (Section 2.3 variant).
-  if (options_.random_representative) {
-    const uint64_t count = reps_.group_count(candidate) + 1;
-    reps_.set_group_count(candidate, count);
-    if (reservoir_rng_.NextBounded(count) == 0) {
-      reps_.set_sample_point(candidate, p);
-      reps_.set_sample_index(candidate, stream_index);
-    }
-  }
-}
-
 void RobustL0SamplerIW::InsertView(PointView p, uint64_t stream_index) {
   RL0_DCHECK(p.dim() == options_.dim);
-
-  // Duplicate-suppression front-end: an exact repeat of a recently probed
-  // arrival, with the rep table structurally unchanged since (epoch ==
-  // generation), must resolve to the same candidate the full probe found —
-  // re-verify it with the real kernel, then take the identical
-  // duplicate-loss path. Anything else falls through to the full probe.
-  if (dup_filter_.enabled()) {
-    const DupFilter::View hit = dup_filter_.Lookup(grid_.CellKeyOf(p), p);
-    if (hit.found && hit.epoch == reps_.generation()) {
-      const uint32_t candidate = hit.payload[0];
-      RL0_DCHECK(reps_.IsLive(candidate));
-      const uint32_t arena = reps_.point_arena_slot(candidate);
-      if (FindFirstWithin(reps_.store(), p, &arena, 1, options_.metric,
-                          options_.alpha) == 0) {
-        dup_filter_.CountHit();
-        DuplicateLoss(candidate, p, stream_index);
-        return;
-      }
-    }
-    dup_filter_.CountMiss();
-  }
 
   // One fused pass: the adjacency search also yields cell(p)'s key (the
   // zero-offset fold), sparing the separate CellKeyOf quantize-and-fold
   // on the new-representative path.
   const uint64_t cell_key =
       grid_.AdjacentCellsWithBase(p, options_.alpha, &adj_scratch_);
-  RL0_DCHECK(!dup_filter_.enabled() || grid_.CellKeyOf(p) == cell_key);
   const uint32_t candidate = FindCandidate(p, adj_scratch_);
   if (candidate != RepTable::kNpos) {
-    if (dup_filter_.enabled()) {
-      dup_filter_.Store(cell_key, reps_.generation(), p)[0] = candidate;
+    // p is not the first point of its (candidate) group: skip it, but keep
+    // the reservoir of the group fresh (Section 2.3 variant).
+    if (options_.random_representative) {
+      const uint64_t count = reps_.group_count(candidate) + 1;
+      reps_.set_group_count(candidate, count);
+      if (reservoir_rng_.NextBounded(count) == 0) {
+        reps_.set_sample_point(candidate, p);
+        reps_.set_sample_index(candidate, stream_index);
+      }
     }
-    DuplicateLoss(candidate, p, stream_index);
     return;
   }
 
@@ -191,17 +160,9 @@ void RobustL0SamplerIW::InsertView(PointView p, uint64_t stream_index) {
     if (!rejected) return;  // Group is ignored: no sampled cell nearby.
   }
 
-  const uint32_t slot =
-      reps_.Add(p, next_rep_id_++, stream_index, cell_key, accepted);
+  reps_.Add(p, next_rep_id_++, stream_index, cell_key, accepted);
   if (accepted) ++accept_size_;
   meter_.Add(RepWords());
-  // Record before the refilter loop: a refilter (or its compaction) would
-  // renumber/remove slots after bumping the generation, which correctly
-  // invalidates this entry; recording afterwards could pair a renumbered
-  // slot with the post-refilter generation.
-  if (dup_filter_.enabled()) {
-    dup_filter_.Store(cell_key, reps_.generation(), p)[0] = slot;
-  }
 
   // Halve the sample rate until the accept cap is restored (the paper
   // doubles once per arrival; a loop maintains the invariant strictly and

@@ -134,11 +134,13 @@ class RobustL0SamplerIW {
   /// Peak space in words since construction.
   size_t PeakSpaceWords() const { return meter_.peak(); }
 
-  /// Duplicate-suppression front-end counters (core/dup_filter.h).
-  /// Arrivals that never consulted the filter (options.dup_filter off, or
-  /// points absorbed from another sampler) count as bypassed.
+  /// Duplicate-suppression counters (core/dup_filter.h). The sampler has
+  /// no duplicate filter (options.dup_filter is ignored), so every arrival
+  /// counts as bypassed.
   DupFilterStats filter_stats() const {
-    return dup_filter_.stats(points_processed_);
+    DupFilterStats s;
+    s.bypassed = points_processed_;
+    return s;
   }
 
   /// The options this sampler was created with.
@@ -173,12 +175,6 @@ class RobustL0SamplerIW {
   /// per-candidate booleans) as the scalar chain walk it replaced.
   uint32_t FindCandidate(PointView p, const AdjKeyVec& adj_keys) const;
 
-  /// The duplicate-loss tail of InsertView: p belongs to the already-judged
-  /// group of `candidate`, so it is skipped, refreshing the group's
-  /// reservoir (Section 2.3 variant). Shared verbatim by the full probe and
-  /// the front-end replay — the decision-identity contract in code.
-  void DuplicateLoss(uint32_t candidate, PointView p, uint64_t stream_index);
-
   /// Live slots of accepted representatives ordered by rep id (ascending
   /// — deterministic, content-defined query iteration).
   std::vector<uint32_t> SortedAcceptedSlots() const;
@@ -199,11 +195,6 @@ class RobustL0SamplerIW {
   uint64_t next_rep_id_ = 0;
 
   RepTable reps_;
-
-  // Duplicate-suppression front-end (core/dup_filter.h): caches the probe
-  // outcome of recent exact arrivals, epoch-gated on reps_.generation().
-  // Scratch state — not charged to the SpaceMeter, never snapshotted.
-  DupFilter dup_filter_;
 
   SpaceMeter meter_;
   // Adjacency scratch with inline capacity: the per-point key buffer

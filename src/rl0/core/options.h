@@ -85,14 +85,9 @@ struct SamplerOptions {
   /// instead of its fixed representative (Section 2.3 reservoir variant).
   bool random_representative = false;
 
-  /// Enables the infinite-window sampler's duplicate-suppression
-  /// front-end (core/dup_filter.h): a small cache that short-circuits the
-  /// adjacency DFS for exact repeat arrivals. Never changes decisions or
-  /// RNG consumption — accepted samples, coin streams, and snapshot bytes
-  /// are bit-identical with it on or off — so it is on by default; turn
-  /// off to measure the raw probe path (bench_filter) or shave scratch
-  /// memory. Compiled out entirely by -DRL0_NO_DUP_FILTER. The windowed
-  /// samplers have no front-end and ignore it.
+  /// Ignored: no sampler has a duplicate-suppression front-end any more
+  /// (core/dup_filter.h). Kept so that existing callers still compile;
+  /// it never changed a decision, an RNG draw or a snapshot byte.
   bool dup_filter = true;
 
   /// Bounded-lateness ingestion (core/reorder_buffer.h): the pool's late

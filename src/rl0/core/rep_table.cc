@@ -228,7 +228,6 @@ uint32_t RepTable::Add(PointView point, uint64_t id, uint64_t stream_index,
   }
   Link(slot);
   ++live_;
-  ++generation_;
   return slot;
 }
 
@@ -240,7 +239,6 @@ void RepTable::Remove(uint32_t slot) {
   flags_[slot] = 0;
   free_slots_.push_back(slot);
   --live_;
-  ++generation_;
 }
 
 void RepTable::set_accepted(uint32_t slot, bool accepted) {
@@ -322,14 +320,12 @@ void RepTable::Compact() {
 
   index_ = CellIndex();
   for (const auto& entry : heads) index_.SetHead(entry.first, entry.second);
-  ++generation_;
 }
 
 void RepTable::RekeyCell(uint32_t slot, uint64_t new_cell_key) {
   Unlink(slot);
   cell_key_[slot] = new_cell_key;
   Link(slot);
-  ++generation_;
 }
 
 void RepTable::Link(uint32_t slot) {

@@ -194,10 +194,7 @@ class RepTable {
 
   PointView point(uint32_t slot) const { return store_.View(point_[slot]); }
   /// Overwrites the rep's coordinates in place (same dimension).
-  void set_point(uint32_t slot, PointView p) {
-    store_.Write(point_[slot], p);
-    ++generation_;
-  }
+  void set_point(uint32_t slot, PointView p) { store_.Write(point_[slot], p); }
 
   /// The rep point's *arena* slot index — the coordinate handle the
   /// batched distance kernels take (kept as a column so the gather loop
@@ -234,19 +231,6 @@ class RepTable {
   /// The underlying arena (introspection / space accounting).
   const PointStore& store() const { return store_; }
 
-  /// \brief Structure generation: bumped by every mutation that can change
-  /// what a probe over the table observes — Add, Remove, RekeyCell,
-  /// Compact, set_point.
-  ///
-  /// The duplicate-suppression front-end (core/dup_filter.h) records this
-  /// value with each cached (cell key → slot) entry and replays only when
-  /// it still matches, so cached slots never dangle across refilters or
-  /// compaction repacks. Reservoir-column setters (set_sample_point etc.)
-  /// deliberately do NOT bump: probes never read those columns, and the
-  /// replayed duplicate-loss path re-draws the reservoir coin itself.
-  /// Monotone (never reset), so stale entries can never collide back.
-  uint64_t generation() const { return generation_; }
-
  private:
   enum : uint8_t { kLiveFlag = 1, kAcceptedFlag = 2 };
 
@@ -272,7 +256,6 @@ class RepTable {
 
   std::vector<uint32_t> free_slots_;
   size_t live_ = 0;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace rl0

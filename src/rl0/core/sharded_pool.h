@@ -94,9 +94,8 @@ class LanePool {
   /// Total space across shards. Requires a quiescent pipeline.
   size_t SpaceWords() const;
 
-  /// Summed duplicate-suppression counters over the per-lane filters
-  /// (each IW shard owns its own front-end, see core/dup_filter.h;
-  /// windowed shards have none and count every point as bypassed).
+  /// Summed duplicate-suppression counters over the lanes. No sampler has
+  /// a filter (core/dup_filter.h), so every point counts as bypassed.
   /// Requires a quiescent pipeline.
   DupFilterStats FilterStats() const;
 

@@ -198,9 +198,9 @@ class RobustL0SamplerSW {
   /// Peak space in words since construction.
   size_t PeakSpaceWords() const { return meter_.peak(); }
 
-  /// Duplicate-suppression counters (core/dup_filter.h). The windowed
-  /// hierarchy has no front-end filter (options.dup_filter is ignored), so
-  /// every arrival counts as bypassed.
+  /// Duplicate-suppression counters (core/dup_filter.h). The hierarchy
+  /// has no duplicate filter (options.dup_filter is ignored), so every
+  /// arrival counts as bypassed.
   DupFilterStats filter_stats() const {
     DupFilterStats s;
     s.bypassed = points_processed_;

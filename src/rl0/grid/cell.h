@@ -25,7 +25,7 @@ namespace rl0 {
 using CellCoord = std::vector<int64_t>;
 
 /// The cell-key fold, exposed axis by axis so hot paths (the adjacency
-/// DFS) can thread partial hashes down the search tree instead of
+/// search) can carry partial hashes along the search instead of
 /// materializing coordinate vectors: a d-dim key is
 ///   CellKeyCombine(...CellKeyCombine(CellKeySeed(d), c1)..., cd).
 inline uint64_t CellKeySeed(size_t dim) {

@@ -12,23 +12,98 @@ namespace rl0 {
 namespace {
 thread_local uint64_t g_dfs_nodes = 0;
 
+// Folds one per-axis box distance into the running accumulator under
+// the metric (L2: sum of squares; L1: sum; L∞: max).
+template <Metric kMetric>
+double AccumulateAs(double acc, double axis_distance) {
+  if constexpr (kMetric == Metric::kL2) {
+    return acc + axis_distance * axis_distance;
+  } else if constexpr (kMetric == Metric::kL1) {
+    return acc + axis_distance;
+  } else {
+    return std::max(acc, axis_distance);
+  }
+}
+
 // Per-point adjacency scratch, one struct so the hot path pays a single
-// thread-local address computation instead of four.
+// thread-local address computation. `hash`/`acc` are FoldAdjacentKeys's
+// frontier columns. They grow on demand (a point near many cell faces, or
+// a constant-d grid, can carry hundreds of prefixes) and keep their size
+// between calls.
 struct AdjScratch {
   std::vector<int64_t> base;
   std::vector<double> scaled;
-  std::vector<uint64_t> mix0;
-  std::vector<uint8_t> free_axis;
-  void Resize(size_t dim, bool screened) {
-    base.resize(dim);
-    scaled.resize(dim);
-    if (screened) {
-      mix0.resize(dim);
-      free_axis.resize(dim);
-    }
-  }
+  std::vector<uint64_t> hash;
+  std::vector<double> acc;
 };
 thread_local AdjScratch g_adj_scratch;
+
+// Breadth-first form of DfsSearch over cell keys (CellKeySeed /
+// CellKeyCombine folded one axis at a time). `hash`/`acc` hold the partial
+// key and accumulated distance of every live prefix. At each axis every
+// prefix first appends its ±o branches that fit the budget, computed from
+// its pre-fold key and distance with DfsSearch's exact expressions, then
+// folds offset 0 into itself. Offset 0 adds no distance, so no prefix ever
+// dies, and entry 0 — never branched — ends as the key of cell(p). The
+// folds of different prefixes are independent, so they overlap in the
+// pipeline where a depth-first recursion runs them one after another.
+// A template per metric, so the branch tests do not re-dispatch on it.
+// Leaves the keys in scratch->hash[0, n), cell(p)'s first, and returns n.
+template <Metric kMetric>
+size_t FoldAdjacentKeys(size_t dim, double side, double budget,
+                        AdjScratch* scratch) {
+  const int64_t* base = scratch->base.data();
+  const double* scaled = scratch->scaled.data();
+  // Raw column pointers and register counts: an append must not make the
+  // compiler reload the frontier through the vectors.
+  uint64_t* hash = scratch->hash.data();
+  double* acc = scratch->acc.data();
+  size_t capacity = scratch->hash.size();
+  auto append = [&](uint64_t key, double next, size_t n) {
+    if (n == capacity) {
+      capacity = std::max<size_t>(2 * capacity, 16);
+      scratch->hash.resize(capacity);
+      scratch->acc.resize(capacity);
+      hash = scratch->hash.data();
+      acc = scratch->acc.data();
+    }
+    hash[n] = key;
+    acc[n] = next;
+  };
+  size_t n = 0;
+  append(CellKeySeed(dim), 0.0, n++);
+  uint64_t nodes = 0;
+  for (size_t i = 0; i < dim; ++i) {
+    const size_t live = n;
+    nodes += live;
+    const double frac = scaled[i];
+    const int64_t b = base[i];
+    for (size_t j = 0; j < live; ++j) {
+      const uint64_t prefix = hash[j];
+      const double prefix_acc = acc[j];
+      // Negative offsets: distance grows with |o|; stop at the first prune.
+      for (int64_t o = -1;; --o) {
+        const double d = frac + (static_cast<double>(-o) - 1.0) * side;
+        const double next = AccumulateAs<kMetric>(prefix_acc, d);
+        if (next > budget) break;
+        append(CellKeyCombine(prefix, b + o), next, n++);
+      }
+      // Positive offsets.
+      for (int64_t o = 1;; ++o) {
+        const double d = static_cast<double>(o) * side - frac;
+        const double next = AccumulateAs<kMetric>(prefix_acc, d);
+        if (next > budget) break;
+        append(CellKeyCombine(prefix, b + o), next, n++);
+      }
+    }
+    // Offset 0 for every prefix that existed before this axis; the inner
+    // mix is shared (== CellKeyCombine(prefix, b) bit for bit).
+    const uint64_t mix0 = SplitMix64(static_cast<uint64_t>(b));
+    for (size_t j = 0; j < live; ++j) hash[j] = SplitMix64(hash[j] ^ mix0);
+  }
+  g_dfs_nodes = nodes + n;
+  return n;
+}
 }  // namespace
 
 RandomGrid::RandomGrid(size_t dim, double side, uint64_t seed, Metric metric)
@@ -43,11 +118,11 @@ RandomGrid::RandomGrid(size_t dim, double side, uint64_t seed, Metric metric)
 double RandomGrid::Accumulate(double acc, double axis_distance) const {
   switch (metric_) {
     case Metric::kL2:
-      return acc + axis_distance * axis_distance;
+      return AccumulateAs<Metric::kL2>(acc, axis_distance);
     case Metric::kL1:
-      return acc + axis_distance;
+      return AccumulateAs<Metric::kL1>(acc, axis_distance);
     case Metric::kLinf:
-      return std::max(acc, axis_distance);
+      return AccumulateAs<Metric::kLinf>(acc, axis_distance);
   }
   return acc;
 }
@@ -151,30 +226,20 @@ void RandomGrid::AdjacentCellCoords(PointView p, double alpha,
   DfsSearch(p, base, scaled, budget, 0, 0.0, &current, out);
 }
 
-// Hot-path adjacency: identical output to the coordinate DFS (the same
-// per-axis moves and pruning), but no CellCoord materialization — the
-// per-axis scratch lives in thread-local buffers, quantization runs
-// through the vectorized QuantizeAxes kernel (bit-identical to the scalar
-// loop, see geom/distance_kernels.h), and the cell keys are folded
-// incrementally along the search path (DfsKeys). The prologue also marks
-// which axes can branch at all (free_axis): an axis whose ±1 moves
-// already exceed the budget at zero accumulated distance can never
-// deviate on any path (accumulators are monotone), so the DFS folds it
-// inline — at high dimension that is nearly every axis.
+// Hot-path adjacency: the same cells as DfsSearch, without CellCoord
+// materialization — quantization runs through the vectorized QuantizeAxes
+// kernel (bit-identical to the scalar loop, see geom/distance_kernels.h)
+// and FoldAdjacentKeys folds the cell keys breadth-first.
 template <typename KeyVec>
 uint64_t RandomGrid::AdjacentCellsImpl(PointView p, double alpha,
                                        KeyVec* out) const {
   RL0_DCHECK(p.dim() == dim_);
   RL0_DCHECK(alpha > 0.0);
-  out->clear();
-  g_dfs_nodes = 0;
-  const bool screened = dim_ >= kScreenMinDim;
   AdjScratch& scratch = g_adj_scratch;
-  scratch.Resize(dim_, screened);
+  scratch.base.resize(dim_);
+  scratch.scaled.resize(dim_);
   int64_t* base = scratch.base.data();
   double* scaled = scratch.scaled.data();
-  uint64_t* mix0 = scratch.mix0.data();
-  uint8_t* free_axis = scratch.free_axis.data();
   if (dim_ >= 4) {
     QuantizeAxes(p.data(), offset_.data(), dim_, side_, base, scaled);
   } else {
@@ -184,32 +249,22 @@ uint64_t RandomGrid::AdjacentCellsImpl(PointView p, double alpha,
       scaled[i] = p[i] - (offset_[i] + static_cast<double>(base[i]) * side_);
     }
   }
-  const double budget = metric_ == Metric::kL2 ? alpha * alpha : alpha;
-  const DfsCtx<KeyVec> ctx{base, mix0, free_axis, scaled, budget, out};
-  if (screened) {
-    for (size_t i = 0; i < dim_; ++i) {
-      mix0[i] = SplitMix64(static_cast<uint64_t>(base[i]));
-      // The o = ±1 first-step distances, written exactly as the DFS loop
-      // entries compute them (o = -1 and o = +1 below) so the feasibility
-      // screen matches the in-search pruning bit for bit at acc = 0.
-      const double dneg = scaled[i] + (1.0 - 1.0) * side_;
-      const double dpos = 1.0 * side_ - scaled[i];
-      free_axis[i] = Accumulate(0.0, dneg) <= budget ||
-                     Accumulate(0.0, dpos) <= budget;
-    }
-    DfsKeys<true>(ctx, 0, 0.0, CellKeySeed(dim_));
-  } else {
-    // Low dimension with side ≤ d·α: nearly every axis can branch (at
-    // d = 2, provably every axis), so the screen, the memoized mix and
-    // the per-node check would be pure overhead — this instantiation is
-    // the plain recursion, untouched.
-    DfsKeys<false>(ctx, 0, 0.0, CellKeySeed(dim_));
+  size_t n = 0;
+  switch (metric_) {
+    case Metric::kL2:
+      n = FoldAdjacentKeys<Metric::kL2>(dim_, side_, alpha * alpha, &scratch);
+      break;
+    case Metric::kL1:
+      n = FoldAdjacentKeys<Metric::kL1>(dim_, side_, alpha, &scratch);
+      break;
+    case Metric::kLinf:
+      n = FoldAdjacentKeys<Metric::kLinf>(dim_, side_, alpha, &scratch);
+      break;
   }
-  // The zero-offset path is unprunable and explored first: (*out)[0] is
-  // the key of cell(p) itself, before the deterministic sort.
-  const uint64_t base_key = (*out)[0];
+  out->clear();
+  for (size_t j = 0; j < n; ++j) out->push_back(scratch.hash[j]);
   std::sort(out->begin(), out->end());
-  return base_key;
+  return scratch.hash[0];
 }
 
 void RandomGrid::AdjacentCells(PointView p, double alpha,
@@ -230,55 +285,6 @@ uint64_t RandomGrid::AdjacentCellsWithBase(PointView p, double alpha,
 uint64_t RandomGrid::AdjacentCellsWithBase(PointView p, double alpha,
                                            std::vector<uint64_t>* out) const {
   return AdjacentCellsImpl(p, alpha, out);
-}
-
-template <bool kScreened, typename KeyVec>
-void RandomGrid::DfsKeys(const DfsCtx<KeyVec>& ctx, size_t axis, double acc,
-                         uint64_t hash) const {
-  // Fixed axes cannot branch on any path (their ±1 moves bust the budget
-  // even from acc = 0, and accumulators only grow): fold them inline.
-  // Node accounting matches the plain recursion one-to-one — one node
-  // per axis step plus one per emitted key.
-  if (kScreened) {
-    while (axis < dim_ && !ctx.free_axis[axis]) {
-      ++g_dfs_nodes;
-      hash = SplitMix64(hash ^ ctx.mix0[axis]);  // == CellKeyCombine(·, base)
-      ++axis;
-    }
-  }
-  if (axis == dim_) {
-    ++g_dfs_nodes;
-    ctx.out->push_back(hash);
-    return;
-  }
-  ++g_dfs_nodes;
-  const double frac = ctx.scaled[axis];
-  // Offset 0 first: zero added distance. The screened build reuses the
-  // memoized inner mix (== CellKeyCombine(hash, base[axis]) bit for bit);
-  // the unscreened build has no mix0 column and folds directly.
-  if constexpr (kScreened) {
-    DfsKeys<kScreened>(ctx, axis + 1, acc,
-                       SplitMix64(hash ^ ctx.mix0[axis]));
-  } else {
-    DfsKeys<kScreened>(ctx, axis + 1, acc,
-                       CellKeyCombine(hash, ctx.base[axis]));
-  }
-  // Negative offsets: distance grows with |o|; stop at the first prune.
-  for (int64_t o = -1;; --o) {
-    const double d = frac + (static_cast<double>(-o) - 1.0) * side_;
-    const double next = Accumulate(acc, d);
-    if (next > ctx.budget) break;
-    DfsKeys<kScreened>(ctx, axis + 1, next,
-            CellKeyCombine(hash, ctx.base[axis] + o));
-  }
-  // Positive offsets.
-  for (int64_t o = 1;; ++o) {
-    const double d = static_cast<double>(o) * side_ - frac;
-    const double next = Accumulate(acc, d);
-    if (next > ctx.budget) break;
-    DfsKeys<kScreened>(ctx, axis + 1, next,
-            CellKeyCombine(hash, ctx.base[axis] + o));
-  }
 }
 
 void RandomGrid::AdjacentCellsNaive(PointView p, double alpha,

@@ -71,7 +71,8 @@ class RandomGrid {
   double DistanceToCell(PointView p, const CellCoord& coord) const;
 
   /// Computes adj(p) = keys of all cells within distance `alpha` of p,
-  /// including cell(p) itself, via the pruned DFS described above.
+  /// including cell(p) itself, via the pruned search described above
+  /// (walked breadth-first over cell keys; same cells as the DFS).
   /// Results are appended to `out` (cleared first). Deterministic order.
   void AdjacentCells(PointView p, double alpha,
                      std::vector<uint64_t>* out) const;
@@ -105,8 +106,11 @@ class RandomGrid {
   void AdjacentCellsPaperDfs(PointView p, double alpha,
                              std::vector<uint64_t>* out) const;
 
-  /// Number of DFS nodes visited by the last AdjacentCells call on this
-  /// thread — instrumentation for the Section 6.2 pruning benchmark.
+  /// Number of search nodes of the last adjacency call on this thread
+  /// (AdjacentCells*, AdjacentCellCoords): one per live partial path at
+  /// each axis plus one per emitted cell, the same count for the
+  /// breadth-first key search and the coordinate DFS — instrumentation
+  /// for the Section 6.2 pruning benchmark.
   static uint64_t last_dfs_nodes();
 
  private:
@@ -115,46 +119,10 @@ class RandomGrid {
                  size_t axis, double acc, CellCoord* current,
                  std::vector<CellCoord>* out) const;
 
-  /// Allocation-free variant of the DFS used by the ingestion hot path:
-  /// instead of materializing CellCoord vectors it threads the partial
-  /// cell-key hash (CellKeySeed/CellKeyCombine fold) down the search tree
-  /// and emits finished 64-bit keys directly. Produces exactly the keys
-  /// of DfsSearch + CellKeyOf. Two hot-path refinements over the literal
-  /// recursion (bit-identical key set, same visited-node accounting):
-  ///   * runs of *fixed* axes — axes whose ±1 moves already exceed the
-  ///     budget at zero accumulated distance (`free_axis[i] == 0`), so no
-  ///     path can ever branch there — fold inline instead of recursing;
-  ///     at high dimension nearly every axis is fixed, which turns the
-  ///     recursion into a short loop over the few branchable axes;
-  ///   * `mix0[i]` memoizes the inner coordinate mix of the zero-offset
-  ///     fold (CellKeyCombine's SplitMix64(base[i]) half), the fold every
-  ///     path performs for every fixed axis.
-  /// KeyVec is std::vector<uint64_t> or AdjKeyVec (both instantiated in
-  /// random_grid.cc). The per-point invariants travel in one context
-  /// struct so the recursion's live arguments (axis, acc, hash) stay in
-  /// registers. `kScreened` selects the fixed-run collapse: only
-  /// dimensions ≥ kScreenMinDim build the free-axis screen (below that,
-  /// nearly every axis can branch and the screen plus its per-node check
-  /// cost more than the collapsed calls) — both instantiations emit the
-  /// identical key set.
-  template <typename KeyVec>
-  struct DfsCtx {
-    const int64_t* base;
-    const uint64_t* mix0;
-    const uint8_t* free_axis;
-    const double* scaled;
-    double budget;
-    KeyVec* out;
-  };
-  template <bool kScreened, typename KeyVec>
-  void DfsKeys(const DfsCtx<KeyVec>& ctx, size_t axis, double acc,
-               uint64_t hash) const;
-
-  /// Dimension at which the free-axis screen starts paying for itself.
-  static constexpr size_t kScreenMinDim = 8;
-
-  /// Shared body of the AdjacentCells overloads. Returns the key of
-  /// cell(p) (the zero-offset path's fold, always emitted first).
+  /// Shared body of the AdjacentCells overloads: the same per-axis moves
+  /// and pruning as DfsSearch, taken breadth-first over partial cell keys
+  /// instead of coordinate vectors (see random_grid.cc). Returns the key
+  /// of cell(p).
   template <typename KeyVec>
   uint64_t AdjacentCellsImpl(PointView p, double alpha, KeyVec* out) const;
 

@@ -27,9 +27,8 @@
 //   CLOSE <tenant>
 //   QUIT
 //
-// CREATE accepts filter=0|1 but ignores it: every tenant is windowed, and
-// the windowed samplers have no duplicate-suppression front-end
-// (core/dup_filter.h serves only the infinite-window sampler).
+// CREATE accepts filter=0|1 but ignores it: no sampler has a
+// duplicate-suppression front-end (core/dup_filter.h).
 //
 // This header is the pure, socket-free half: a LineDecoder that turns
 // arbitrary byte arrivals (partial reads, pipelined commands, oversized

@@ -45,7 +45,7 @@
 // the latched sequence-vs-stamped mode and, for mode=late, the lateness
 // bound — or the CREATE fails and no tenant is registered (every= and
 // filter= may differ: the first is a deployment setting, the second is
-// ignored — windowed samplers have no duplicate filter). A CREATE of a
+// ignored — no sampler has a duplicate filter). A CREATE of a
 // name whose CLOSE is still cutting fails as if the tenant existed.
 // Subscriptions and CVM state are scratch: they do not survive recovery
 // — only sampler state does.

@@ -12,13 +12,6 @@ constexpr uint64_t kGoldenGamma = 0x9E3779B97F4A7C15ULL;
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
-uint64_t SplitMix64(uint64_t x) {
-  x += kGoldenGamma;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 uint64_t SplitMix64Sequence::Next() {
   state_ += kGoldenGamma;
   uint64_t x = state_;

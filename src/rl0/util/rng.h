@@ -17,7 +17,14 @@ namespace rl0 {
 
 /// Mixes a 64-bit value through the SplitMix64 finalizer. Good avalanche;
 /// used to derive independent sub-seeds and to mix cell coordinates.
-uint64_t SplitMix64(uint64_t x);
+/// Inline: the adjacency search folds a cell key with it once per axis
+/// and live prefix, and a call per fold would serialize the folds.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
 
 /// A SplitMix64 sequence generator (state advances by the golden gamma).
 class SplitMix64Sequence {

@@ -262,52 +262,6 @@ TEST(FuzzTest, SwRandomStreamsKeepWindowInvariants) {
   }
 }
 
-TEST(FuzzTest, DupFilterStaysIdenticalThroughRefilterWaves) {
-  // The duplicate-suppression front-end against its invalidation events:
-  // tiny accept caps force frequent rate halvings, so Refilter
-  // removal sweeps and Compact repacks keep bumping the rep-table
-  // generation while exact repeats keep re-arming the cache. Every trial
-  // runs filter-on and filter-off side by side; any stale replay (a
-  // cached slot surviving a refilter it shouldn't) diverges the pair.
-  Xoshiro256pp rng(41);
-  for (int trial = 0; trial < 20; ++trial) {
-    SamplerOptions opts;
-    opts.dim = 2;
-    opts.alpha = 1.0;
-    opts.seed = 4100 + static_cast<uint64_t>(trial);
-    opts.accept_cap = 4 + rng.NextBounded(12);
-    opts.expected_stream_length = 2048;
-    opts.random_representative = (trial % 2) == 0;
-    SamplerOptions off_opts = opts;
-    off_opts.dup_filter = false;
-    auto on = RobustL0SamplerIW::Create(opts).value();
-    auto off = RobustL0SamplerIW::Create(off_opts).value();
-
-    const size_t groups = 4 + rng.NextBounded(60);
-    for (int i = 0; i < 600; ++i) {
-      const double g = static_cast<double>(rng.NextBounded(groups));
-      Point p{7.0 * g, -3.0 * g};
-      if (rng.NextDouble() >= 0.7) {
-        p[0] += 0.2 * (rng.NextDouble() - 0.5);
-        p[1] += 0.2 * (rng.NextDouble() - 0.5);
-      }
-      on.Insert(p);
-      off.Insert(p);
-      if (i % 37 == 0) {
-        ASSERT_EQ(on.level(), off.level()) << "trial " << trial;
-        ASSERT_EQ(on.accept_size(), off.accept_size()) << "trial " << trial;
-      }
-    }
-    const auto acc_on = on.AcceptedRepresentatives();
-    const auto acc_off = off.AcceptedRepresentatives();
-    ASSERT_EQ(acc_on.size(), acc_off.size()) << "trial " << trial;
-    for (size_t i = 0; i < acc_on.size(); ++i) {
-      ASSERT_EQ(acc_on[i].stream_index, acc_off[i].stream_index);
-      ASSERT_EQ(acc_on[i].point, acc_off[i].point);
-    }
-  }
-}
-
 TEST(FuzzTest, DeltaFoldNeverCrashesOnMalformedInputs) {
   // ApplySamplerDeltaSW over random bytes, byte mutations of both
   // operands, and truncations: a clean Status every time, and an accepted

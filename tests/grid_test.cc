@@ -180,6 +180,71 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(6, 2.0, 1.5),
                       std::make_tuple(7, 7.0, 1.0)));
 
+// The hot-path key search (breadth-first over partial cell keys) against
+// the coordinate DFS folded with CellKeyOf, in the regimes the naive
+// enumeration cannot reach: dimensions 8–20 at side d·α, the L1 and L∞
+// metrics, and a constant-d grid (side α/2) whose adjacency runs past 64
+// cells. Also pins the fused base key (== CellKeyOf(p)) and the node
+// count (== the coordinate DFS's).
+class AdjacencyKeysVsCoordinateDfs
+    : public ::testing::TestWithParam<std::tuple<int, double, double, Metric>> {
+};
+
+TEST_P(AdjacencyKeysVsCoordinateDfs, SameKeysBaseAndNodeCount) {
+  const auto [dim, side, alpha, metric] = GetParam();
+  const size_t d = static_cast<size_t>(dim);
+  RandomGrid grid(d, side, static_cast<uint64_t>(dim * 1000) + 11, metric);
+  Xoshiro256pp rng(static_cast<uint64_t>(dim) * 37 +
+                   static_cast<uint64_t>(metric));
+  size_t max_cells = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    Point p(d);
+    for (size_t j = 0; j < d; ++j) p[j] = 40.0 * (rng.NextDouble() - 0.5);
+
+    std::vector<CellCoord> coords;
+    grid.AdjacentCellCoords(p, alpha, &coords);
+    const uint64_t ref_nodes = RandomGrid::last_dfs_nodes();
+    std::vector<uint64_t> ref;
+    for (const CellCoord& c : coords) ref.push_back(CellKeyOf(c));
+    std::sort(ref.begin(), ref.end());
+
+    AdjKeyVec keys;
+    const uint64_t base = grid.AdjacentCellsWithBase(p, alpha, &keys);
+    const uint64_t nodes = RandomGrid::last_dfs_nodes();
+    std::vector<uint64_t> plain;
+    grid.AdjacentCells(p, alpha, &plain);
+
+    SCOPED_TRACE(::testing::Message() << "trial=" << trial);
+    EXPECT_EQ(std::vector<uint64_t>(keys.begin(), keys.end()), ref);
+    EXPECT_EQ(plain, ref);
+    EXPECT_EQ(base, grid.CellKeyOf(p));
+    EXPECT_EQ(nodes, ref_nodes);
+    if (d <= 4) {
+      std::vector<uint64_t> naive;
+      grid.AdjacentCellsNaive(p, alpha, &naive);
+      EXPECT_EQ(naive, ref);
+    }
+    max_cells = std::max(max_cells, ref.size());
+  }
+  if (dim == 4 && side * 2.0 == alpha) {
+    // The constant-d grid grows the frontier past any small fixed bound.
+    EXPECT_GT(max_cells, 64u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, AdjacencyKeysVsCoordinateDfs,
+    ::testing::Values(std::make_tuple(8, 8.0, 1.0, Metric::kL2),
+                      std::make_tuple(12, 12.0, 1.0, Metric::kL2),
+                      std::make_tuple(20, 20.0, 1.0, Metric::kL2),
+                      std::make_tuple(4, 0.5, 1.0, Metric::kL2),
+                      std::make_tuple(3, 0.5, 1.0, Metric::kL1),
+                      std::make_tuple(8, 8.0, 1.0, Metric::kL1),
+                      std::make_tuple(20, 20.0, 1.0, Metric::kL1),
+                      std::make_tuple(3, 0.5, 1.0, Metric::kLinf),
+                      std::make_tuple(8, 8.0, 1.0, Metric::kLinf),
+                      std::make_tuple(20, 20.0, 1.0, Metric::kLinf)));
+
 TEST(AdjacencyPaperDfsTest, MatchesGeneralDfsWhenSideAtLeastAlpha) {
   // The literal Algorithm 6 explores only ±1 offsets, which is exact when
   // side ≥ α (the regime it was designed for in Section 6.2).

@@ -15,8 +15,8 @@
 // of the pool's lane wiring, the merge or the sampler that changes any of
 // them fails here.
 //
-// Matrix: dim {2, 5, 20} × duplicate filter on/off × reservoir on/off ×
-// k {1, 3} × accept cap {default, 6}. Every case starts at rate 1; the
+// Matrix: dim {2, 5, 20} × reservoir on/off × k {1, 3} × accept cap
+// {default, 6}. Every case starts at rate 1; the
 // default cap ends at rate 1/2–1/8 and the cap of 6 at 1/32–1/64, so
 // level raises, rejections and AbsorbFrom's re-filtering at a common
 // level all run.
@@ -49,7 +49,6 @@ constexpr size_t kSmallCap = 6;
 
 struct Case {
   size_t dim;
-  bool filter;
   bool reservoir;
   size_t k;
   size_t cap;  // 0 = the options' default cap
@@ -57,8 +56,8 @@ struct Case {
 
 std::string CaseName(const char* path, const Case& c) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s/d%zu/f%d/r%d/k%zu/c%zu", path, c.dim,
-                c.filter ? 1 : 0, c.reservoir ? 1 : 0, c.k, c.cap);
+  std::snprintf(buf, sizeof(buf), "%s/d%zu/r%d/k%zu/c%zu", path, c.dim,
+                c.reservoir ? 1 : 0, c.k, c.cap);
   return buf;
 }
 
@@ -96,13 +95,12 @@ SamplerOptions OptionsFor(const Case& c) {
   opts.expected_stream_length = 1 << 14;
   opts.accept_cap = c.cap;
   opts.k = c.k;
-  opts.dup_filter = c.filter;
   opts.random_representative = c.reservoir;
   return opts;
 }
 
 /// A near-duplicate stream: skewed group popularity, jittered members and
-/// a quarter exact repeats of recent arrivals (dup-filter hits).
+/// a quarter exact repeats of recent arrivals.
 std::vector<Point> MakeStream(const Case& c) {
   Xoshiro256pp rng(0x1D16E57 ^ (c.dim * 131));
   const size_t groups = 320;
@@ -191,102 +189,54 @@ uint64_t PoolDigest(const Case& c, const std::vector<Point>& points) {
 // Captured from the implementation before the pools shared one lane base.
 const std::map<std::string, uint64_t>& Goldens() {
   static const auto* goldens = new std::map<std::string, uint64_t>{
-      {"serial/d2/f0/r0/k1/c0", 0x23f96c0e5849c886ULL},
-      {"pool4/d2/f0/r0/k1/c0", 0x9c2cbc5d79a95cb4ULL},
-      {"serial/d2/f0/r0/k1/c6", 0x94e88a45f12db716ULL},
-      {"pool4/d2/f0/r0/k1/c6", 0x3556367d1b41e337ULL},
-      {"serial/d2/f0/r0/k3/c0", 0x1feb44046bea5488ULL},
-      {"pool4/d2/f0/r0/k3/c0", 0x324a6e2485b9f149ULL},
-      {"serial/d2/f0/r0/k3/c6", 0x21393d27b7b4b909ULL},
-      {"pool4/d2/f0/r0/k3/c6", 0x11ca43638048844bULL},
-      {"serial/d2/f0/r1/k1/c0", 0x1656640253139340ULL},
-      {"pool4/d2/f0/r1/k1/c0", 0xf47ee657d70faf4eULL},
-      {"serial/d2/f0/r1/k1/c6", 0xe8e907f75ba23085ULL},
-      {"pool4/d2/f0/r1/k1/c6", 0x73c66797a3c6f046ULL},
-      {"serial/d2/f0/r1/k3/c0", 0xed8fd8dc3a4fcf93ULL},
-      {"pool4/d2/f0/r1/k3/c0", 0x6c572335e626ae86ULL},
-      {"serial/d2/f0/r1/k3/c6", 0x4991b6c89aa27c6dULL},
-      {"pool4/d2/f0/r1/k3/c6", 0x6790b4452464aa75ULL},
-      {"serial/d2/f1/r0/k1/c0", 0x23f96c0e5849c886ULL},
-      {"pool4/d2/f1/r0/k1/c0", 0x9c2cbc5d79a95cb4ULL},
-      {"serial/d2/f1/r0/k1/c6", 0x94e88a45f12db716ULL},
-      {"pool4/d2/f1/r0/k1/c6", 0x3556367d1b41e337ULL},
-      {"serial/d2/f1/r0/k3/c0", 0x1feb44046bea5488ULL},
-      {"pool4/d2/f1/r0/k3/c0", 0x324a6e2485b9f149ULL},
-      {"serial/d2/f1/r0/k3/c6", 0x21393d27b7b4b909ULL},
-      {"pool4/d2/f1/r0/k3/c6", 0x11ca43638048844bULL},
-      {"serial/d2/f1/r1/k1/c0", 0x1656640253139340ULL},
-      {"pool4/d2/f1/r1/k1/c0", 0xf47ee657d70faf4eULL},
-      {"serial/d2/f1/r1/k1/c6", 0xe8e907f75ba23085ULL},
-      {"pool4/d2/f1/r1/k1/c6", 0x73c66797a3c6f046ULL},
-      {"serial/d2/f1/r1/k3/c0", 0xed8fd8dc3a4fcf93ULL},
-      {"pool4/d2/f1/r1/k3/c0", 0x6c572335e626ae86ULL},
-      {"serial/d2/f1/r1/k3/c6", 0x4991b6c89aa27c6dULL},
-      {"pool4/d2/f1/r1/k3/c6", 0x6790b4452464aa75ULL},
-      {"serial/d5/f0/r0/k1/c0", 0x9cd63c637f9d34faULL},
-      {"pool4/d5/f0/r0/k1/c0", 0x4ad80d01ede0a454ULL},
-      {"serial/d5/f0/r0/k1/c6", 0x92252333ac7bfe1eULL},
-      {"pool4/d5/f0/r0/k1/c6", 0x488b7d02b387be51ULL},
-      {"serial/d5/f0/r0/k3/c0", 0xdf1ddc4d24a2601cULL},
-      {"pool4/d5/f0/r0/k3/c0", 0xd4d8df2ff087f03fULL},
-      {"serial/d5/f0/r0/k3/c6", 0xd358515d469c77b8ULL},
-      {"pool4/d5/f0/r0/k3/c6", 0xdcf189b980350073ULL},
-      {"serial/d5/f0/r1/k1/c0", 0xab7768df4c9d1f64ULL},
-      {"pool4/d5/f0/r1/k1/c0", 0x4e5fa0d0d0c0747cULL},
-      {"serial/d5/f0/r1/k1/c6", 0xc4aaa72b4d19c4f8ULL},
-      {"pool4/d5/f0/r1/k1/c6", 0x35f14673887eb9f7ULL},
-      {"serial/d5/f0/r1/k3/c0", 0x3f83e86c432fada2ULL},
-      {"pool4/d5/f0/r1/k3/c0", 0x4f43cf83fe4bb0faULL},
-      {"serial/d5/f0/r1/k3/c6", 0x17266a8389b1fe25ULL},
-      {"pool4/d5/f0/r1/k3/c6", 0x7ab24e337e4d8f49ULL},
-      {"serial/d5/f1/r0/k1/c0", 0x9cd63c637f9d34faULL},
-      {"pool4/d5/f1/r0/k1/c0", 0x4ad80d01ede0a454ULL},
-      {"serial/d5/f1/r0/k1/c6", 0x92252333ac7bfe1eULL},
-      {"pool4/d5/f1/r0/k1/c6", 0x488b7d02b387be51ULL},
-      {"serial/d5/f1/r0/k3/c0", 0xdf1ddc4d24a2601cULL},
-      {"pool4/d5/f1/r0/k3/c0", 0xd4d8df2ff087f03fULL},
-      {"serial/d5/f1/r0/k3/c6", 0xd358515d469c77b8ULL},
-      {"pool4/d5/f1/r0/k3/c6", 0xdcf189b980350073ULL},
-      {"serial/d5/f1/r1/k1/c0", 0xab7768df4c9d1f64ULL},
-      {"pool4/d5/f1/r1/k1/c0", 0x4e5fa0d0d0c0747cULL},
-      {"serial/d5/f1/r1/k1/c6", 0xc4aaa72b4d19c4f8ULL},
-      {"pool4/d5/f1/r1/k1/c6", 0x35f14673887eb9f7ULL},
-      {"serial/d5/f1/r1/k3/c0", 0x3f83e86c432fada2ULL},
-      {"pool4/d5/f1/r1/k3/c0", 0x4f43cf83fe4bb0faULL},
-      {"serial/d5/f1/r1/k3/c6", 0x17266a8389b1fe25ULL},
-      {"pool4/d5/f1/r1/k3/c6", 0x7ab24e337e4d8f49ULL},
-      {"serial/d20/f0/r0/k1/c0", 0x87919e57177c2fd2ULL},
-      {"pool4/d20/f0/r0/k1/c0", 0xa28c58ec176c15d9ULL},
-      {"serial/d20/f0/r0/k1/c6", 0xd6aca844f2f76ec0ULL},
-      {"pool4/d20/f0/r0/k1/c6", 0x1c111dcad1e136f7ULL},
-      {"serial/d20/f0/r0/k3/c0", 0xc28fa387056dd61cULL},
-      {"pool4/d20/f0/r0/k3/c0", 0xdae9847b1187c0e0ULL},
-      {"serial/d20/f0/r0/k3/c6", 0xd7f5daecede12347ULL},
-      {"pool4/d20/f0/r0/k3/c6", 0x4455f20ec341036dULL},
-      {"serial/d20/f0/r1/k1/c0", 0x32830589a26644e7ULL},
-      {"pool4/d20/f0/r1/k1/c0", 0xf3031f382a3871a9ULL},
-      {"serial/d20/f0/r1/k1/c6", 0x9efdc9e3ab877c17ULL},
-      {"pool4/d20/f0/r1/k1/c6", 0xfdb904dd4ae0a778ULL},
-      {"serial/d20/f0/r1/k3/c0", 0xd5c09f3d91945567ULL},
-      {"pool4/d20/f0/r1/k3/c0", 0xe95825b1527e5556ULL},
-      {"serial/d20/f0/r1/k3/c6", 0xb258a817850bb67dULL},
-      {"pool4/d20/f0/r1/k3/c6", 0xacc410d54eeb4f4eULL},
-      {"serial/d20/f1/r0/k1/c0", 0x87919e57177c2fd2ULL},
-      {"pool4/d20/f1/r0/k1/c0", 0xa28c58ec176c15d9ULL},
-      {"serial/d20/f1/r0/k1/c6", 0xd6aca844f2f76ec0ULL},
-      {"pool4/d20/f1/r0/k1/c6", 0x1c111dcad1e136f7ULL},
-      {"serial/d20/f1/r0/k3/c0", 0xc28fa387056dd61cULL},
-      {"pool4/d20/f1/r0/k3/c0", 0xdae9847b1187c0e0ULL},
-      {"serial/d20/f1/r0/k3/c6", 0xd7f5daecede12347ULL},
-      {"pool4/d20/f1/r0/k3/c6", 0x4455f20ec341036dULL},
-      {"serial/d20/f1/r1/k1/c0", 0x32830589a26644e7ULL},
-      {"pool4/d20/f1/r1/k1/c0", 0xf3031f382a3871a9ULL},
-      {"serial/d20/f1/r1/k1/c6", 0x9efdc9e3ab877c17ULL},
-      {"pool4/d20/f1/r1/k1/c6", 0xfdb904dd4ae0a778ULL},
-      {"serial/d20/f1/r1/k3/c0", 0xd5c09f3d91945567ULL},
-      {"pool4/d20/f1/r1/k3/c0", 0xe95825b1527e5556ULL},
-      {"serial/d20/f1/r1/k3/c6", 0xb258a817850bb67dULL},
-      {"pool4/d20/f1/r1/k3/c6", 0xacc410d54eeb4f4eULL},
+      {"serial/d2/r0/k1/c0", 0x23f96c0e5849c886ULL},
+      {"pool4/d2/r0/k1/c0", 0x9c2cbc5d79a95cb4ULL},
+      {"serial/d2/r0/k1/c6", 0x94e88a45f12db716ULL},
+      {"pool4/d2/r0/k1/c6", 0x3556367d1b41e337ULL},
+      {"serial/d2/r0/k3/c0", 0x1feb44046bea5488ULL},
+      {"pool4/d2/r0/k3/c0", 0x324a6e2485b9f149ULL},
+      {"serial/d2/r0/k3/c6", 0x21393d27b7b4b909ULL},
+      {"pool4/d2/r0/k3/c6", 0x11ca43638048844bULL},
+      {"serial/d2/r1/k1/c0", 0x1656640253139340ULL},
+      {"pool4/d2/r1/k1/c0", 0xf47ee657d70faf4eULL},
+      {"serial/d2/r1/k1/c6", 0xe8e907f75ba23085ULL},
+      {"pool4/d2/r1/k1/c6", 0x73c66797a3c6f046ULL},
+      {"serial/d2/r1/k3/c0", 0xed8fd8dc3a4fcf93ULL},
+      {"pool4/d2/r1/k3/c0", 0x6c572335e626ae86ULL},
+      {"serial/d2/r1/k3/c6", 0x4991b6c89aa27c6dULL},
+      {"pool4/d2/r1/k3/c6", 0x6790b4452464aa75ULL},
+      {"serial/d5/r0/k1/c0", 0x9cd63c637f9d34faULL},
+      {"pool4/d5/r0/k1/c0", 0x4ad80d01ede0a454ULL},
+      {"serial/d5/r0/k1/c6", 0x92252333ac7bfe1eULL},
+      {"pool4/d5/r0/k1/c6", 0x488b7d02b387be51ULL},
+      {"serial/d5/r0/k3/c0", 0xdf1ddc4d24a2601cULL},
+      {"pool4/d5/r0/k3/c0", 0xd4d8df2ff087f03fULL},
+      {"serial/d5/r0/k3/c6", 0xd358515d469c77b8ULL},
+      {"pool4/d5/r0/k3/c6", 0xdcf189b980350073ULL},
+      {"serial/d5/r1/k1/c0", 0xab7768df4c9d1f64ULL},
+      {"pool4/d5/r1/k1/c0", 0x4e5fa0d0d0c0747cULL},
+      {"serial/d5/r1/k1/c6", 0xc4aaa72b4d19c4f8ULL},
+      {"pool4/d5/r1/k1/c6", 0x35f14673887eb9f7ULL},
+      {"serial/d5/r1/k3/c0", 0x3f83e86c432fada2ULL},
+      {"pool4/d5/r1/k3/c0", 0x4f43cf83fe4bb0faULL},
+      {"serial/d5/r1/k3/c6", 0x17266a8389b1fe25ULL},
+      {"pool4/d5/r1/k3/c6", 0x7ab24e337e4d8f49ULL},
+      {"serial/d20/r0/k1/c0", 0x87919e57177c2fd2ULL},
+      {"pool4/d20/r0/k1/c0", 0xa28c58ec176c15d9ULL},
+      {"serial/d20/r0/k1/c6", 0xd6aca844f2f76ec0ULL},
+      {"pool4/d20/r0/k1/c6", 0x1c111dcad1e136f7ULL},
+      {"serial/d20/r0/k3/c0", 0xc28fa387056dd61cULL},
+      {"pool4/d20/r0/k3/c0", 0xdae9847b1187c0e0ULL},
+      {"serial/d20/r0/k3/c6", 0xd7f5daecede12347ULL},
+      {"pool4/d20/r0/k3/c6", 0x4455f20ec341036dULL},
+      {"serial/d20/r1/k1/c0", 0x32830589a26644e7ULL},
+      {"pool4/d20/r1/k1/c0", 0xf3031f382a3871a9ULL},
+      {"serial/d20/r1/k1/c6", 0x9efdc9e3ab877c17ULL},
+      {"pool4/d20/r1/k1/c6", 0xfdb904dd4ae0a778ULL},
+      {"serial/d20/r1/k3/c0", 0xd5c09f3d91945567ULL},
+      {"pool4/d20/r1/k3/c0", 0xe95825b1527e5556ULL},
+      {"serial/d20/r1/k3/c6", 0xb258a817850bb67dULL},
+      {"pool4/d20/r1/k3/c6", 0xacc410d54eeb4f4eULL},
   };
   return *goldens;
 }
@@ -294,12 +244,10 @@ const std::map<std::string, uint64_t>& Goldens() {
 std::vector<Case> AllCases() {
   std::vector<Case> cases;
   for (size_t dim : {2, 5, 20}) {
-    for (bool filter : {false, true}) {
-      for (bool reservoir : {false, true}) {
-        for (size_t k : {1, 3}) {
-          for (size_t cap : {size_t{0}, kSmallCap}) {
-            cases.push_back(Case{dim, filter, reservoir, k, cap});
-          }
+    for (bool reservoir : {false, true}) {
+      for (size_t k : {1, 3}) {
+        for (size_t cap : {size_t{0}, kSmallCap}) {
+          cases.push_back(Case{dim, reservoir, k, cap});
         }
       }
     }

@@ -20,10 +20,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "rl0/core/dup_filter.h"
 #include "rl0/core/iw_sampler.h"
 #include "rl0/core/sharded_pool.h"
-#include "rl0/core/snapshot.h"
 #include "rl0/stream/generators.h"
 #include "rl0/stream/neardup.h"
 #include "rl0/util/rng.h"
@@ -83,119 +81,6 @@ void FeedRandomChunks(ShardedSamplerPool* pool, Span<const Point> points,
     if (drain_between) pool->Drain();
   }
   pool->Drain();
-}
-
-/// An exact-duplicate-heavy stream: `groups` well-separated centers,
-/// each arrival is (with probability 0.8) a byte-identical repeat of a
-/// center — the regime the duplicate-suppression front-end caches — and
-/// otherwise a fresh within-alpha perturbation.
-std::vector<Point> DupHeavyStream(size_t n, size_t groups, uint64_t seed) {
-  Xoshiro256pp rng(SplitMix64(seed));
-  std::vector<Point> centers;
-  for (size_t g = 0; g < groups; ++g) {
-    centers.push_back(Point{7.0 * static_cast<double>(g),
-                            -3.0 * static_cast<double>(g)});
-  }
-  std::vector<Point> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Point p = centers[rng.NextBounded(groups)];
-    if (rng.NextDouble() >= 0.8) {
-      p[0] += 0.2 * (rng.NextDouble() - 0.5);
-      p[1] += 0.2 * (rng.NextDouble() - 0.5);
-    }
-    out.push_back(p);
-  }
-  return out;
-}
-
-TEST(PipelineDeterminismTest, DupFilterOnOffBitIdentical) {
-  // The front-end's decision-identity contract: with the filter on,
-  // accepted decisions AND all RNG consumption must be bit-identical to
-  // the filter-off run. Reservoir mode makes the RNG half observable —
-  // the duplicate-loss path draws a reservoir coin per arrival, so any
-  // extra or missing draw desynchronizes every later sample point.
-  SamplerOptions opts;
-  opts.dim = 2;
-  opts.alpha = 1.0;
-  opts.seed = 611;
-  opts.expected_stream_length = 4096;
-  opts.random_representative = true;
-  SamplerOptions off_opts = opts;
-  off_opts.dup_filter = false;
-
-  auto on = RobustL0SamplerIW::Create(opts).value();
-  auto off = RobustL0SamplerIW::Create(off_opts).value();
-  const std::vector<Point> stream = DupHeavyStream(4000, 40, 612);
-  for (const Point& p : stream) {
-    on.Insert(p);
-    off.Insert(p);
-  }
-
-  EXPECT_EQ(on.level(), off.level());
-  ExpectSameItems(on.AcceptedRepresentatives(),
-                  off.AcceptedRepresentatives());
-  ExpectSameItems(on.RejectedRepresentatives(),
-                  off.RejectedRepresentatives());
-
-  // Coin-stream identity: identical external query RNGs must draw
-  // identical samples (the per-group sample points reflect every
-  // internal reservoir coin consumed during ingestion).
-  Xoshiro256pp rng_on(77), rng_off(77);
-  for (int q = 0; q < 20; ++q) {
-    const auto sample_on = on.Sample(&rng_on);
-    const auto sample_off = off.Sample(&rng_off);
-    ASSERT_EQ(sample_on.has_value(), sample_off.has_value());
-    if (sample_on.has_value()) {
-      EXPECT_EQ(sample_on->point, sample_off->point);
-      EXPECT_EQ(sample_on->stream_index, sample_off->stream_index);
-    }
-  }
-
-  // The filter is scratch state: snapshots must be byte-identical.
-  std::string bytes_on, bytes_off;
-  ASSERT_TRUE(SnapshotSampler(on, &bytes_on).ok());
-  ASSERT_TRUE(SnapshotSampler(off, &bytes_off).ok());
-  EXPECT_EQ(bytes_on, bytes_off);
-
-  // The comparison is only meaningful if the replay path actually ran.
-  if (DupFilter::kCompiledIn) {
-    EXPECT_GT(on.filter_stats().hits, 0u);
-  }
-  EXPECT_EQ(off.filter_stats().hits, 0u);
-  EXPECT_EQ(off.filter_stats().bypassed, off.points_processed());
-}
-
-TEST(PipelineDeterminismTest, DupFilterOnOffBitIdenticalSharded) {
-  // Per-lane filters through the pipeline: every shard's state must be
-  // bit-identical with the front-end on or off, under chunked feeding.
-  SamplerOptions opts;
-  opts.dim = 2;
-  opts.alpha = 1.0;
-  opts.seed = 613;
-  opts.expected_stream_length = 4096;
-  SamplerOptions off_opts = opts;
-  off_opts.dup_filter = false;
-  const std::vector<Point> stream = DupHeavyStream(4000, 40, 614);
-  const size_t shards = 3;
-
-  auto pool_on = ShardedSamplerPool::Create(opts, shards).value();
-  auto pool_off = ShardedSamplerPool::Create(off_opts, shards).value();
-  FeedRandomChunks(&pool_on, stream, 881, /*max_chunk=*/97);
-  FeedRandomChunks(&pool_off, stream, 882, /*max_chunk=*/41);
-
-  for (size_t s = 0; s < shards; ++s) {
-    SCOPED_TRACE(s);
-    EXPECT_EQ(pool_on.shard(s).level(), pool_off.shard(s).level());
-    ExpectSameItems(pool_on.shard(s).AcceptedRepresentatives(),
-                    pool_off.shard(s).AcceptedRepresentatives());
-    ExpectSameItems(pool_on.shard(s).RejectedRepresentatives(),
-                    pool_off.shard(s).RejectedRepresentatives());
-  }
-  if (DupFilter::kCompiledIn) {
-    EXPECT_GT(pool_on.FilterStats().hits, 0u);
-  }
-  EXPECT_EQ(pool_off.FilterStats().hits, 0u);
 }
 
 TEST(PipelineDeterminismTest, FeedMatchesPointwiseAcrossWorkerCounts) {

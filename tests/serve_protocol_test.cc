@@ -776,6 +776,33 @@ std::vector<std::string> DirectSampleLines(ShardedSwSamplerPool* pool,
   return lines;
 }
 
+TEST(ServeProtocolTest, CreateFilterIsAcceptedAndIgnored) {
+  // filter= is kept for existing clients: both values answer OK, and no
+  // sampler has a duplicate filter, so the two tenants answer alike.
+  ServerFixture fx("filter");
+  ASSERT_NE(fx.server, nullptr);
+  TestClient client(fx.path);
+  ASSERT_TRUE(client.connected());
+  ASSERT_EQ(client.Command("CREATE on dim=2 alpha=0.8 window=300 shards=2 "
+                           "seed=5 filter=1"),
+            std::vector<std::string>{"OK"});
+  ASSERT_EQ(client.Command("CREATE off dim=2 alpha=0.8 window=300 shards=2 "
+                           "seed=5 filter=0"),
+            std::vector<std::string>{"OK"});
+  const auto points = Clustered(600, 30, 9);
+  for (const char* name : {"on", "off"}) {
+    std::string feed = std::string("FEED ") + name;
+    for (const Point& p : points) feed += " " + CoordToken(p);
+    const auto reply = client.Command(feed);
+    ASSERT_EQ(reply.size(), 1u);
+    ASSERT_EQ(reply[0].rfind("OK fed=", 0), 0u) << reply[0];
+  }
+  const auto on = client.Command("SAMPLE on q=4 seed=3");
+  ASSERT_EQ(on.size(), 5u);
+  EXPECT_EQ(on.back(), "OK");
+  EXPECT_EQ(client.Command("SAMPLE off q=4 seed=3"), on);
+}
+
 TEST(ServeProtocolTest, SequenceModeSampleMatchesDirectPoolByteForByte) {
   const size_t kN = 4000;
   const uint64_t kSeed = 11;

@@ -45,7 +45,7 @@ usage: rl0_cli <command> [options] [file.csv | -]
 commands:
   sample    --alpha A [--k N] [--window W] [--time] [--metric l2|l1|linf]
             [--reservoir] [--seed S] [--queries Q] [--shards S]
-            [--no-filter] [--lateness L]
+            [--lateness L]
             [--checkpoint-dir D [--checkpoint-every N]]
             Draw Q robust l0-samples (default 1); --k N > 1 draws N
             distinct ones per query and needs the infinite window (no
@@ -77,7 +77,7 @@ commands:
             are fine), and draw Q samples from the
             recovered window — bit-identical to a run that never went
             down (see core/checkpoint.h for the exact contract).
-  count     --alpha A [--epsilon E] [--seed S] [--no-filter]
+  count     --alpha A [--epsilon E] [--seed S]
             (1+E)-approximate the number of distinct entities. The
             estimator copies ingest as lanes of one pipeline.
   stats     --alpha A
@@ -95,12 +95,6 @@ commands:
 
 Input '-' (or no file) reads CSV points from stdin: one point per line,
 coordinates separated by commas or whitespace; '#' starts a comment.
-
---no-filter disables the infinite-window duplicate-suppression
-front-end (identical output either way — the front-end never changes
-decisions; the `sample` and `count` summary lines report its
-hit/miss/bypass counters). Windowed sampling has no front-end, so the
-flag changes nothing there.
 )";
 
 struct Args {
@@ -115,7 +109,6 @@ struct Args {
   bool powerlaw = false;
   bool reservoir = false;
   bool time = false;
-  bool no_filter = false;
   uint32_t max_gap = 4;
   uint64_t seed = 0;
   size_t k = 1;
@@ -200,8 +193,6 @@ bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
       ok = next_str(&args->checkpoint_dir);
     } else if (arg == "--time") {
       args->time = true;
-    } else if (arg == "--no-filter") {
-      args->no_filter = true;
     } else if (arg == "--powerlaw") {
       args->powerlaw = true;
     } else if (arg == "--reservoir") {
@@ -244,18 +235,6 @@ std::string CheckpointNote(const PoolCheckpointer* ckpt) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), " checkpoints=%zu journal=%zuB",
                 ckpt->cuts(), ckpt->journal_bytes());
-  return buf;
-}
-
-/// Renders duplicate-suppression counters for the summary lines
-/// (core/dup_filter.h; bypass counts points the front-end never saw —
-/// filter disabled or absorbed from another sampler).
-std::string FilterNote(const rl0::DupFilterStats& stats) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), " filter hit=%llu miss=%llu bypass=%llu",
-                static_cast<unsigned long long>(stats.hits),
-                static_cast<unsigned long long>(stats.misses),
-                static_cast<unsigned long long>(stats.bypassed));
   return buf;
 }
 
@@ -398,16 +377,14 @@ int RunSampleInfinite(const Args& args, const rl0::SamplerOptions& opts,
                       .c_str());
     }
   }
-  // Per-lane front-end counters: the merged sampler's own counters would
-  // list every absorbed point as bypassed.
   std::fprintf(stderr,
                "[pipeline: %zu shards, %llu points; groups accepted=%zu "
-               "rejected=%zu R=%llu space=%zu words%s]\n",
+               "rejected=%zu R=%llu space=%zu words]\n",
                pool.num_shards(),
                static_cast<unsigned long long>(pool.points_processed()),
                iw.accept_size(), iw.reject_size(),
                static_cast<unsigned long long>(iw.rate_reciprocal()),
-               iw.SpaceWords(), FilterNote(pool.FilterStats()).c_str());
+               iw.SpaceWords());
   return 0;
 }
 
@@ -455,7 +432,6 @@ int RunSample(const Args& args) {
   opts.k = args.k;
   opts.random_representative = args.reservoir;
   opts.expected_stream_length = points.size();
-  opts.dup_filter = !args.no_filter;
   opts.allowed_lateness = args.lateness;
   if (args.window <= 0) return RunSampleInfinite(args, opts, points);
   return RunSampleWindow(args, opts, points, args.time ? &stamps : nullptr);
@@ -509,7 +485,6 @@ int RunCount(const Args& args) {
   opts.sampler.alpha = args.alpha;
   opts.sampler.seed = args.seed;
   opts.sampler.expected_stream_length = points.value().size();
-  opts.sampler.dup_filter = !args.no_filter;
   opts.epsilon = args.epsilon;
   auto est = rl0::F0EstimatorIW::Create(opts);
   if (!est.ok()) return Fail(est.status().ToString());
@@ -524,9 +499,8 @@ int RunCount(const Args& args) {
   std::printf("%.0f\n", estimator.Estimate());
   std::fprintf(stderr,
                "[distinct entities, (1+%.2f)-approx; %zu points scanned; "
-               "space=%zu words%s]\n",
-               args.epsilon, points.value().size(), estimator.SpaceWords(),
-               FilterNote(estimator.FilterStats()).c_str());
+               "space=%zu words]\n",
+               args.epsilon, points.value().size(), estimator.SpaceWords());
   return 0;
 }
 
